@@ -12,7 +12,7 @@
    configuration as it completes:
 
      shmls-compile sweep heat_3d laplace_2d --grids 32x32x16,64x64x32 \
-       --verify --sim compiled --out results.jsonl *)
+       --verify --sim batched --out results.jsonl *)
 
 let builtin_kernels =
   [
@@ -73,9 +73,6 @@ let run_tool kernel_spec grid_spec variant_spec emit outdir verify evaluate
   try
     let kernel = load_kernel kernel_spec in
     let grid = parse_grid grid_spec in
-    let sim =
-      match Shmls.sim_of_string sim with Ok s -> s | Error m -> failwith m
-    in
     let engine =
       match Shmls.Cycle_sim.engine_of_string cycle_engine with
       | Some e -> e
@@ -306,9 +303,6 @@ let run_sweep kernel_specs grids_spec variant_spec sim verify seed jobs chunk
       |> List.map parse_grid
     in
     if grids = [] then failwith "empty --grids";
-    let sim =
-      match Shmls.sim_of_string sim with Ok s -> s | Error m -> failwith m
-    in
     let variant =
       match Shmls.Variant.of_string variant_spec with
       | Ok v -> v
@@ -499,24 +493,20 @@ let pass_stats_arg =
     & info [ "pass-stats" ]
         ~doc:"Print per-step timing of the nine-pass HLS lowering.")
 
+let sim_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Shmls.sim_of_string s)),
+      fun ppf sim -> Format.pp_print_string ppf (Shmls.sim_to_string sim) )
+
 let sim_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("interp", "interp");
-             ("compiled", "compiled");
-             ("batched", "batched");
-           ])
-        "interp"
+    & opt sim_conv Shmls.Interp
     & info [ "sim" ] ~docv:"ENGINE"
         ~doc:
           "Functional-simulation engine for --verify and --report: the \
-           reference IR interpreter (interp), the per-element \
-           specialized-closure plan (compiled), or the whole-stream \
-           batched plan (batched, the fastest). All three are \
-           bit-identical.")
+           reference IR interpreter (interp) or the whole-stream batched \
+           plan (batched, the fast path). Both are bit-identical.")
 
 let cycle_engine_arg =
   Arg.(

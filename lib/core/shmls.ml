@@ -123,14 +123,12 @@ type compiled = {
   c_connectivity : string; (* v++ connectivity config *)
   c_pass_stats : Pass.stat list; (* per-step HLS lowering statistics *)
   c_plan : Stage_compiler.t Lazy.t;
-      (* compiled functional-sim plan; forced on first Compiled verify
-         via [plan_of] (mutex-guarded: [Lazy.force] is not domain-safe).
+      (* the batched functional-sim plan; forced on first Batched verify
+         via [plan_for_sim] (mutex-guarded: [Lazy.force] is not domain-safe).
          The plan itself is immutable and shared across domains —
          per-run mutation lives in Stage_compiler.Run_state. *)
   c_plan_batched : Stage_compiler.t Lazy.t;
-      (* whole-stream batched plan (--sim=batched); forced on first
-         Batched verify, independently of [c_plan].  Same sharing
-         discipline: immutable plan, per-domain run states. *)
+      (* the same lazy plan as [c_plan]; perfbench builds this record *)
 }
 
 (* Raw pipeline executions, cached or not: lets tests assert how many
@@ -140,14 +138,12 @@ let compile_runs_counter = Atomic.make 0
 let compile_runs () = Atomic.get compile_runs_counter
 
 (* Run the full Stencil-HMLS compilation pipeline on one kernel. *)
-let compile_raw ~balance_depths ~split_applies ~variant (kernel : Ast.kernel)
-    ~grid =
+let compile_raw ~balance_depths ~variant (kernel : Ast.kernel) ~grid =
   Atomic.incr compile_runs_counter;
   Shmls_transforms.Register.all ();
   let lowered = Lower.lower kernel ~grid in
   Shmls_transforms.Shape_inference.run_on_module lowered.l_module;
-  if split_applies then
-    ignore (Shmls_transforms.Apply_split.run_on_module lowered.l_module);
+  ignore (Shmls_transforms.Apply_split.run_on_module lowered.l_module);
   Verifier.verify_exn lowered.l_module;
   let hls_module, plans, pass_stats =
     Shmls_transforms.Stencil_to_hls.run_with_stats ~variant lowered.l_module
@@ -168,6 +164,7 @@ let compile_raw ~balance_depths ~split_applies ~variant (kernel : Ast.kernel)
   let connectivity =
     Shmls_llvmir.Fplusplus.connectivity_config ~kernel:kernel.k_name fpp
   in
+  let sim_plan = lazy (Stage_compiler.compile design) in
   {
     c_kernel = kernel;
     c_grid = grid;
@@ -181,16 +178,16 @@ let compile_raw ~balance_depths ~split_applies ~variant (kernel : Ast.kernel)
     c_fpp = fpp;
     c_connectivity = connectivity;
     c_pass_stats = pass_stats;
-    c_plan = lazy (Stage_compiler.compile design);
-    c_plan_batched = lazy (Stage_compiler.compile_batched design);
+    c_plan = sim_plan;
+    c_plan_batched = sim_plan;
   }
 
 (* Any pipeline failure is attributed to the kernel being compiled and,
    when the error itself carries no position, anchored at the kernel's
    own source location. *)
-let compile ?(balance_depths = true) ?(split_applies = true)
-    ?(variant = Variant.default) (kernel : Ast.kernel) ~grid =
-  try compile_raw ~balance_depths ~split_applies ~variant kernel ~grid
+let compile ?(balance_depths = true) ?(variant = Variant.default)
+    (kernel : Ast.kernel) ~grid =
+  try compile_raw ~balance_depths ~variant kernel ~grid
   with Err.Error e ->
     raise
       (Err.Error
@@ -208,10 +205,8 @@ let compile ?(balance_depths = true) ?(split_applies = true)
    it.  Repeated evaluations (the 10-run protocol in bench/main.ml) pay
    for compilation once per distinct kernel/grid/flag combination. *)
 
-let compile_key ~balance_depths ~split_applies ~variant (kernel : Ast.kernel)
-    ~grid =
-  Digest.string
-    (Marshal.to_string (kernel, grid, balance_depths, split_applies, variant) [])
+let compile_key ~balance_depths ~variant (kernel : Ast.kernel) ~grid =
+  Digest.string (Marshal.to_string (kernel, grid, balance_depths, variant) [])
 
 let compile_cache : (Digest.t, compiled) Hashtbl.t = Hashtbl.create 16
 
@@ -227,9 +222,9 @@ let compile_cache_misses = Atomic.make 0
 let compile_cache_stats () =
   (Atomic.get compile_cache_hits, Atomic.get compile_cache_misses)
 
-let compile_cached ?(balance_depths = true) ?(split_applies = true)
-    ?(variant = Variant.default) (kernel : Ast.kernel) ~grid =
-  let key = compile_key ~balance_depths ~split_applies ~variant kernel ~grid in
+let compile_cached ?(balance_depths = true) ?(variant = Variant.default)
+    (kernel : Ast.kernel) ~grid =
+  let key = compile_key ~balance_depths ~variant kernel ~grid in
   match
     Mutex.protect compile_cache_mutex (fun () ->
         Hashtbl.find_opt compile_cache key)
@@ -238,7 +233,7 @@ let compile_cached ?(balance_depths = true) ?(split_applies = true)
     Atomic.incr compile_cache_hits;
     c
   | None ->
-    let c = compile ~balance_depths ~split_applies ~variant kernel ~grid in
+    let c = compile ~balance_depths ~variant kernel ~grid in
     Mutex.protect compile_cache_mutex (fun () ->
         match Hashtbl.find_opt compile_cache key with
         | Some winner -> winner (* another domain raced us to it *)
@@ -256,19 +251,14 @@ type verification = {
   v_max_diff : float;
 }
 
-type sim = Interp | Compiled | Batched
+type sim = Interp | Batched
 
-let sim_to_string = function
-  | Interp -> "interp"
-  | Compiled -> "compiled"
-  | Batched -> "batched"
+let sim_to_string = function Interp -> "interp" | Batched -> "batched"
 
 let sim_of_string = function
   | "interp" -> Ok Interp
-  | "compiled" -> Ok Compiled
   | "batched" -> Ok Batched
-  | s ->
-    Error (Printf.sprintf "unknown simulator %S (interp|compiled|batched)" s)
+  | s -> Error (Printf.sprintf "unknown simulator %S (interp|batched)" s)
 
 (* The reference interpreter state is a pure function of
    (kernel, grid, seed) and is only *read* after it is built, so it is
@@ -301,8 +291,8 @@ let reset_compile_cache () =
   Mutex.protect ref_state_mutex (fun () -> Hashtbl.reset ref_state_cache);
   Atomic.set compile_runs_counter 0
 
-(* [run_design] executes the design on [args]: the interpreter, or a
-   compiled plan ({!Stage_compiler}). *)
+(* [run_design] executes the design on [args]: the interpreter, or the
+   batched plan ({!Stage_compiler}). *)
 let verify_with ~seed ~run_design (c : compiled) =
   (* reference *)
   let ref_state = reference_state ~seed c in
@@ -343,15 +333,9 @@ let force_plan l =
   if Lazy.is_val l then Lazy.force l
   else Mutex.protect plan_mutex (fun () -> Lazy.force l)
 
-let plan_of (c : compiled) = force_plan c.c_plan
-let batched_plan_of (c : compiled) = force_plan c.c_plan_batched
-
 (* The plan an engine runs on, if any: [None] for the interpreter. *)
 let plan_for_sim sim (c : compiled) =
-  match sim with
-  | Interp -> None
-  | Compiled -> Some (plan_of c)
-  | Batched -> Some (batched_plan_of c)
+  match sim with Interp -> None | Batched -> Some (force_plan c.c_plan)
 
 let runner_of_sim sim (c : compiled) =
   match plan_for_sim sim c with
@@ -441,7 +425,7 @@ let evaluate_all ?(jobs = 0) ?(variant = Variant.default) (kernel : Ast.kernel)
    Compilation runs sequentially up front — IR construction wants
    deterministic ids for anything that prints golden output, and every
    job afterwards only *reads* the shared [compiled] records.  For a
-   Compiled sweep the shared plan is forced up front too, so the
+   Batched sweep the shared plan is forced up front too, so the
    parallel phase does zero plan compilation: every job runs the same
    immutable plan against its own per-domain run state.
 
@@ -462,7 +446,7 @@ let sweep ?(jobs = 0) ?chunk ?on_result ?(sim = Interp)
           with Err.Error e -> Error e
         in
         (match (verify_designs, sim, c) with
-        | true, (Compiled | Batched), Ok c -> ignore (plan_for_sim sim c)
+        | true, Batched, Ok c -> ignore (plan_for_sim sim c)
         | _ -> ());
         (kernel, grid, c))
       configs
@@ -513,9 +497,9 @@ let emit_llvm_text (c : compiled) = Shmls_llvmir.Ll.to_string c.c_llvm
 let emit_circt_text (c : compiled) = Shmls_circt.Circt.emit c.c_design
 
 (* A Vitis-style synthesis report for the compiled design.  The
-   functional-simulation section renders uniformly for all three
-   engines: the engine name always, plus the plan shape for the
-   plan-backed engines. *)
+   functional-simulation section renders uniformly for both engines:
+   the engine name always, plus the plan shape for the batched
+   engine. *)
 let report_text ?(sim = Interp) ?cycle_result (c : compiled) =
   Shmls_fpga.Report.render ~sim_engine:(sim_to_string sim)
     ?sim_plan:(plan_for_sim sim c) ?cycle_result c.c_design

@@ -110,32 +110,32 @@ type compiled = {
   c_pass_stats : Pass.stat list;
       (** wall time / op-count deltas of the nine HLS lowering steps *)
   c_plan : Stage_compiler.t Lazy.t;
-      (** compiled functional-simulation plan, built once on first use.
+      (** batched functional-simulation plan ({!Stage_compiler.compile}),
+          built once on first use.
           The plan is immutable and shared across domains — parallel
           sweeps run it against per-domain run states. Force it through
           the library entry points ({!verify}, {!sweep}, {!report_text}),
           which serialize the forcing; [Lazy.force] from several domains
           at once is not safe. *)
   c_plan_batched : Stage_compiler.t Lazy.t;
-      (** whole-stream batched plan ([Batched]), built once on first
-          use, independently of [c_plan]. Same sharing and forcing
-          discipline. *)
+      (** the same lazy plan as [c_plan]; kept because perfbench builds
+          this record. *)
 }
 
 (** Run the full Stencil-HMLS compilation pipeline. [balance_depths]
-    and [split_applies] exist for ablations and tests; leave them on.
+    exists for tests; leave it on.
     [variant] (default {!Variant.default}) compiles an ablated pipeline
     for real — no-split / no-pack / cu=N designs all flow through the
     same extraction, simulators and models. *)
 val compile :
-  ?balance_depths:bool -> ?split_applies:bool -> ?variant:Variant.t ->
+  ?balance_depths:bool -> ?variant:Variant.t ->
   Ast.kernel -> grid:int list -> compiled
 
 (** Like {!compile}, but memoised on a digest of (kernel, grid, flags,
     variant): repeated evaluations of the same configuration compile once
     and share the (read-only) [compiled] record. *)
 val compile_cached :
-  ?balance_depths:bool -> ?split_applies:bool -> ?variant:Variant.t ->
+  ?balance_depths:bool -> ?variant:Variant.t ->
   Ast.kernel -> grid:int list -> compiled
 
 (** [(hits, misses)] of the {!compile_cached} memo since the last
@@ -154,21 +154,19 @@ type verification = {
 }
 
 (** Which functional-simulation engine executes the design: the
-    reference IR interpreter ({!Functional}), the per-element
-    specialized-closure plan ({!Stage_compiler.compile}), or the
-    whole-stream batched plan ({!Stage_compiler.compile_batched}). All
-    three are bit-identical; the plan-backed engines are the fast
-    paths, the interpreter the oracle. *)
-type sim = Interp | Compiled | Batched
+    reference IR interpreter ({!Functional}), the oracle, or the
+    batched plan ({!Stage_compiler.compile}), the fast path. Both are
+    bit-identical. *)
+type sim = Interp | Batched
 
 val sim_to_string : sim -> string
 
-(** Parse a [--sim] CLI argument ("interp" | "compiled" | "batched"). *)
+(** Parse a [--sim] CLI argument ("interp" | "batched"). *)
 val sim_of_string : string -> (sim, string) result
 
 (** Execute the compiled design once on the given argument values with
     the chosen functional-simulation engine (default the interpreter).
-    Plan-backed engines force the shared plan safely; the call is safe
+    [Batched] forces the shared plan safely; the call is safe
     from several domains at once. *)
 val run_design : ?sim:sim -> compiled -> args:Functional.value array -> unit
 
@@ -195,8 +193,7 @@ val evaluate_all :
 
 (** Evaluate many (kernel, grid) configurations — the grid-sweep
     experiment driver. Compilation runs sequentially up front (cached,
-    and for the plan-backed engines ([Compiled]/[Batched]) the shared
-    plan is forced up front too);
+    and for [Batched] the shared plan is forced up front too);
     the per-configuration evaluations (and optional design
     verifications) then run on a chunked work-stealing domain pool, all
     sharing one immutable plan per configuration with per-domain run
@@ -231,8 +228,8 @@ val emit_llvm_text : compiled -> string
 val emit_circt_text : compiled -> string
 
 (** A Vitis-style synthesis report. The functional-simulation section
-    renders uniformly for all three engines: the engine name always,
-    plus the plan shape for the plan-backed engines.  [cycle_result]
+    renders uniformly for both engines: the engine name always, plus
+    the plan shape for [Batched].  [cycle_result]
     appends a cycle-simulation section (cycles simulated vs
     fast-forwarded, detected steady-state period, fill model check). *)
 val report_text :

@@ -15,7 +15,10 @@
      - stream buffers are growable [float array] ring buffers with O(1)
        push/pop/length; a vector stream of width [w] stores [w]
        consecutive floats per token, so neighbourhoods travel as flat
-       slices instead of boxed [Vector] tokens.
+       slices instead of boxed [Vector] tokens;
+     - compute loops whose bodies are independent per element run in
+       whole-stream blocks over dense columns (see "Batched compute-loop
+       compilation" below); every other loop runs per element.
 
    The compiled artefact is split in two:
 
@@ -109,6 +112,8 @@ let ring_drop r n =
 (* ------------------------------------------------------------------ *)
 (* Per-run state: every mutable word a run touches lives here *)
 
+let batch_width = 64
+
 type run_state = {
   mutable rs_args : Functional.value array;
   rs_fregs : float array; (* seeded from the plan's float constant pool *)
@@ -117,11 +122,11 @@ type run_state = {
   rs_poff : int array;
   rs_vecs : float array array; (* neighbourhood scratch, one per KV slot *)
   rs_rings : ring array; (* plan ring-descriptor order (ascending id) *)
-  (* Batched-engine column files (empty for per-element plans).  A
-     batched compute loop processes the stream in blocks of up to
-     [pl_batch] elements: every in-loop SSA value becomes a dense
-     column, one lane per element of the current block. *)
-  rs_fcols : float array array; (* float columns, [pl_batch] lanes each *)
+  (* Column files.  A batched compute loop processes the stream in
+     blocks of up to [batch_width] elements: every in-loop SSA value
+     becomes a dense column, one lane per element of the current
+     block. *)
+  rs_fcols : float array array; (* float columns, [batch_width] lanes each *)
   rs_icols : int array array; (* int/i1 columns *)
   rs_pcols_base : float array array; (* pointer columns: shared base ... *)
   rs_pcols_off : int array array; (* ... plus a per-lane offset column *)
@@ -221,7 +226,6 @@ type t = {
   pl_const_i : int array; (* constant pool: initial int registers *)
   pl_np : int;
   pl_vec_widths : int array;
-  pl_batch : int; (* batched block width; 0 = per-element plan *)
   pl_n_fcols : int; (* batched column-file sizes *)
   pl_n_icols : int;
   pl_n_pcols : int;
@@ -251,10 +255,10 @@ let create_state (t : t) : run_state =
       Array.map
         (fun rd -> ring_create ~stream:rd.rd_stream ~width:rd.rd_width)
         t.pl_ring_descs;
-    rs_fcols = Array.init t.pl_n_fcols (fun _ -> Array.make t.pl_batch 0.0);
-    rs_icols = Array.init t.pl_n_icols (fun _ -> Array.make t.pl_batch 0);
+    rs_fcols = Array.init t.pl_n_fcols (fun _ -> Array.make batch_width 0.0);
+    rs_icols = Array.init t.pl_n_icols (fun _ -> Array.make batch_width 0);
     rs_pcols_base = Array.make t.pl_n_pcols [||];
-    rs_pcols_off = Array.init t.pl_n_pcols (fun _ -> Array.make t.pl_batch 0);
+    rs_pcols_off = Array.init t.pl_n_pcols (fun _ -> Array.make batch_width 0);
     rs_vbase = Array.make (max 1 (Array.length t.pl_vec_widths)) 0;
   }
 
@@ -268,8 +272,7 @@ type cctx = {
   vec_w : int array; (* scratch width per KV slot *)
   ring_index : (int, int) Hashtbl.t; (* SSA stream id -> rs_rings index *)
   mutable folded : int;
-  (* batched-engine compilation state ([c_batched] plans only) *)
-  c_batched : bool;
+  (* batched-loop compilation state *)
   cols : (int, kind) Hashtbl.t; (* in-loop SSA id -> column slot *)
   vec_ring : (int, int * int) Hashtbl.t; (* KV slot -> (ring idx, width) *)
   mutable nfc : int; (* column-file sizes *)
@@ -325,15 +328,13 @@ let ring_idx c v =
    Neighbourhood (vector) reads never materialise: an [extractvalue]
    lane reads the input ring directly with stride [width].
 
-   Bit-exactness vs the per-element engine is structural: every lane's
-   dataflow is the identical float expression, evaluated op-at-a-time
-   instead of element-at-a-time, and batchable loops contain no stores,
+   Bit-exactness vs the interpreter is structural: every lane's dataflow
+   is the identical float expression, evaluated op-at-a-time instead of
+   element-at-a-time, and batchable loops contain no stores,
    so no partial-block state is observable.  Starved reads are detected
    before a block touches anything; the remainder then re-runs through
    the per-element body so the raised error (message, [Loc], which read
    fires first) matches the interpreter exactly. *)
-
-let batch_width = 64
 
 exception Not_batchable
 
@@ -741,7 +742,7 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
   in
   match Ir.Op.name op with
   | "arith.constant" -> (
-    (* folded into the pools exactly like the per-element engine; the
+    (* folded into the pools exactly like [compile_op] does; the
        value stays out of [c.cols], so operand resolution sees it as a
        loop-invariant register (the "constants hoisted" fast path) *)
     match Ir.Op.get_attr_exn op "value" with
@@ -1384,13 +1385,10 @@ let rec compile_op c (op : Ir.op) : (run_state -> unit) option =
         i := !i + step
       done
     in
-    if c.c_batched then
-      match
-        compile_for_batched c op ~lb ~ub ~step ~iv_slot:iv ~scalar_body:body
-      with
-      | Some bstep -> Some bstep
-      | None -> Some scalar_step
-    else Some scalar_step
+    Some
+      (Option.value ~default:scalar_step
+         (compile_for_batched c op ~lb ~ub ~step ~iv_slot:iv
+            ~scalar_body:body))
   | "scf.yield" -> None
   | name -> Err.raise_error "functional sim: unsupported op %s" name
 
@@ -1426,74 +1424,6 @@ let compile_load ring_index (d : Design.t) ~out_streams ~ptr_args =
         ring_push_blit rs.rs_rings.(ri) data 0 total)
       pairs
 
-let compile_shift ring_index ~input ~output ~halo ~extent =
-  let ext, strides, total = Functional.stage_geometry extent in
-  let rank = Array.length ext in
-  let in_ri = design_ring_idx ring_index input in
-  let out_ri = design_ring_idx ring_index output in
-  let offsets =
-    Functional.offsets_of_halo halo |> List.map Array.of_list |> Array.of_list
-  in
-  let deltas =
-    Array.map
-      (fun off ->
-        let s = ref 0 in
-        Array.iteri (fun d o -> s := !s + (o * strides.(d))) off;
-        !s)
-      offsets
-  in
-  let nb_n = Array.length offsets in
-  fun rs ->
-    let inring = Array.unsafe_get rs.rs_rings in_ri in
-    let outring = Array.unsafe_get rs.rs_rings out_ri in
-    if inring.rg_width <> 1 then
-      Err.raise_error "functional sim: shift input must be scalar";
-    (* the producer ran to completion, so read the window straight out
-       of the input ring and write straight into the output ring *)
-    ring_require inring total;
-    ring_reserve outring (total * nb_n);
-    let src = inring.rg_data and h = inring.rg_head in
-    let out = outring.rg_data in
-    let ob = ref (outring.rg_head + outring.rg_len) in
-    (* the odometer is per-call scratch (rank <= 3 words), so the plan
-       closure stays safe to run concurrently from several states *)
-    let pos = Array.make rank 0 in
-    for i = 0 to total - 1 do
-      for k = 0 to nb_n - 1 do
-        let off = Array.unsafe_get offsets k in
-        let ok = ref true in
-        for d = 0 to rank - 1 do
-          let p = Array.unsafe_get pos d + Array.unsafe_get off d in
-          if p < 0 || p >= Array.unsafe_get ext d then ok := false
-        done;
-        Array.unsafe_set out !ob
-          (if !ok then
-             Array.unsafe_get src (h + i + Array.unsafe_get deltas k)
-           else Float.nan);
-        incr ob
-      done;
-      Functional.odometer_incr ext pos
-    done;
-    outring.rg_len <- outring.rg_len + (total * nb_n);
-    ring_drop inring total
-
-let compile_dup ring_index ~input ~outputs =
-  let in_ri = design_ring_idx ring_index input in
-  let out_ris =
-    List.map (design_ring_idx ring_index) outputs |> Array.of_list
-  in
-  let nout = Array.length out_ris in
-  fun rs ->
-    (* the producer ran to completion (topological order): drain fully *)
-    let inring = Array.unsafe_get rs.rs_rings in_ri in
-    let n = inring.rg_len in
-    for k = 0 to nout - 1 do
-      ring_push_blit
-        rs.rs_rings.(Array.unsafe_get out_ris k)
-        inring.rg_data inring.rg_head n
-    done;
-    ring_drop inring n
-
 (* Batched dup: zero-copy.  Each output stream has exactly one producer
    (this dup) and its consumers only ever read, while the input stream
    is fully produced before the dup runs (topological stage order) and
@@ -1517,8 +1447,8 @@ let compile_dup_batched ring_index ~input ~outputs =
     done;
     ring_drop inring n
 
-(* Batched shift: same geometry as [compile_shift], but the inner
-   dimension of every fully-interior row is branch-free — all
+(* Batched shift: same geometry as the interpreter's shift buffer,
+   but the inner dimension of every fully-interior row is branch-free — all
    neighbourhood offsets are provably in range there, so the loop is a
    strided copy with the per-point bounds checks hoisted to the row's
    halo edges (and to non-interior rows). *)
@@ -1628,53 +1558,6 @@ let compile_shift_batched ring_index ~input ~output ~halo ~extent =
     outring.rg_len <- outring.rg_len + (total * nb_n);
     ring_drop inring total
 
-let compile_write ring_index ~in_streams ~ptr_args ~halo ~extent =
-  let ext, _, total = Functional.stage_geometry extent in
-  let hal = Array.of_list halo in
-  let rank = Array.length ext in
-  let pairs =
-    List.map2
-      (fun s argi -> (design_ring_idx ring_index s, argi))
-      in_streams ptr_args
-  in
-  (* the interior/halo split is pure geometry: precompute the linear
-     indices of the interior points once, and the run is a gather *)
-  let interior =
-    let pos = Array.make rank 0 in
-    let acc = ref [] in
-    for i = 0 to total - 1 do
-      let inside = ref true in
-      for d = 0 to rank - 1 do
-        if pos.(d) < hal.(d) || pos.(d) >= ext.(d) - hal.(d) then
-          inside := false
-      done;
-      if !inside then acc := i :: !acc;
-      Functional.odometer_incr ext pos
-    done;
-    Array.of_list (List.rev !acc)
-  in
-  let n_int = Array.length interior in
-  fun rs ->
-    List.iter
-      (fun (ri, argi) ->
-        let ring = rs.rs_rings.(ri) in
-        let data =
-          match rs.rs_args.(argi) with
-          | Functional.Ptr (a, 0) -> a
-          | _ ->
-            Err.raise_error "functional sim: write_data arg is not a pointer"
-        in
-        (* halo tokens are popped and discarded, exactly like the
-           interpreter: consume all [total], store the interior ones *)
-        ring_require ring total;
-        let src = ring.rg_data and h = ring.rg_head in
-        for k = 0 to n_int - 1 do
-          let i = Array.unsafe_get interior k in
-          Array.unsafe_set data i (Array.unsafe_get src (h + i))
-        done;
-        ring_drop ring total)
-      pairs
-
 (* Batched write: the interior of each interior row is one contiguous
    run of linear indices, so the per-point gather becomes one
    [Array.blit] per interior row (halo tokens are discarded by the
@@ -1748,7 +1631,7 @@ let stream_width (s : Design.stream) =
 
 let plan_id_counter = Atomic.make 0
 
-let compile_design ~batched (d : Design.t) : t =
+let compile (d : Design.t) : t =
   Atomic.incr compile_counter;
   (* ring descriptors: one per design stream, ascending stream id (the
      drain check reports in that order, like the interpreter) *)
@@ -1792,7 +1675,6 @@ let compile_design ~batched (d : Design.t) : t =
       vec_w = Array.of_list (List.rev al.vec_widths);
       ring_index;
       folded = 0;
-      c_batched = batched;
       cols = Hashtbl.create 64;
       vec_ring = Hashtbl.create 8;
       nfc = 0;
@@ -1847,12 +1729,9 @@ let compile_design ~batched (d : Design.t) : t =
         | Design.Load { out_streams; ptr_args } ->
           compile_load ring_index d ~out_streams ~ptr_args
         | Design.Shift { input; output; halo; extent } ->
-          if batched then
-            compile_shift_batched ring_index ~input ~output ~halo ~extent
-          else compile_shift ring_index ~input ~output ~halo ~extent
+          compile_shift_batched ring_index ~input ~output ~halo ~extent
         | Design.Dup { input; outputs } ->
-          if batched then compile_dup_batched ring_index ~input ~outputs
-          else compile_dup ring_index ~input ~outputs
+          compile_dup_batched ring_index ~input ~outputs
         | Design.Compute cc ->
           let body = compile_block c (Hls.dataflow_body cc.df_op) in
           n_steps := !n_steps + Array.length body;
@@ -1862,9 +1741,7 @@ let compile_design ~batched (d : Design.t) : t =
               (Array.unsafe_get body k) rs
             done
         | Design.Write { in_streams; ptr_args; halo; extent } ->
-          if batched then
-            compile_write_batched ring_index ~in_streams ~ptr_args ~halo ~extent
-          else compile_write ring_index ~in_streams ~ptr_args ~halo ~extent)
+          compile_write_batched ring_index ~in_streams ~ptr_args ~halo ~extent)
       d.d_stages
     |> Array.of_list
   in
@@ -1876,7 +1753,6 @@ let compile_design ~batched (d : Design.t) : t =
     pl_const_i = c.const_i;
     pl_np = al.np;
     pl_vec_widths = c.vec_w;
-    pl_batch = (if batched then batch_width else 0);
     pl_n_fcols = c.nfc;
     pl_n_icols = c.nic;
     pl_n_pcols = c.npc;
@@ -1894,11 +1770,8 @@ let compile_design ~batched (d : Design.t) : t =
       };
   }
 
-let compile (d : Design.t) : t = compile_design ~batched:false d
-
-(* The batched engine: same plan type, same per-domain state cache, same
-   [run]/[run_with] — only the compiled steps differ. *)
-let compile_batched (d : Design.t) : t = compile_design ~batched:true d
+(* perfbench builds [Shmls.compiled] records through this name. *)
+let compile_batched = compile
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)

@@ -3,8 +3,8 @@
     [compile] is a one-time pre-pass over an extracted design that
     resolves every SSA value in the compute-stage IR to a dense slot in
     an unboxed register array and emits a specialized step closure per
-    op; stream buffers become growable [float array] ring buffers with
-    O(1) push/pop/length. [run] then executes the design with no
+    op, batching whole-stream loops where it can; stream buffers become
+    growable [float array] ring buffers with O(1) push/pop/length. [run] then executes the design with no
     hashtable lookups or token boxing in the element loops.
 
     The compiled artefact is split in two:
@@ -33,11 +33,7 @@ module Run_state : sig
       buffers, scratch arrays. *)
 end
 
-(** Compile a design into an immutable plan. Raises {!Err.Error} on
-    unsupported ops (same message the interpreter would raise). *)
-val compile : Design.t -> t
-
-(** Compile a design into a {e batched} plan: compute-stage loops whose
+(** Compile a design into an immutable plan. Compute-stage loops whose
     bodies are independent per element (no nested loops, no stores, at
     most one read/write per stream) run in whole-stream blocks over
     dense unboxed columns — constants and loop-invariant operands read
@@ -45,11 +41,15 @@ val compile : Design.t -> t
     lanes read from the input ring with a stride instead of
     materialising, and the shift/write stages split into a branch-free
     interior plus per-point halo edges. Loops outside that subset (e.g.
-    BRAM small-copy loops) keep their per-element compilation, so the
-    engine is always complete. Same plan type, same state cache, same
-    {!run}/{!run_with}; bit-exact against {!compile} and the
-    interpreter, including starved-read errors ({!Loc} and firing
-    order), NaN out-of-range shifts and undrained-stream reports. *)
+    BRAM small-copy loops) run per element, so the engine is always
+    complete. Bit-exact against the interpreter, including starved-read
+    errors ({!Loc} and firing order, via a per-element replay of the
+    starved block), NaN out-of-range shifts and undrained-stream
+    reports. Raises {!Err.Error} on unsupported ops (same message the
+    interpreter would raise). *)
+val compile : Design.t -> t
+
+(** Same as {!compile}; perfbench builds plans through this name. *)
 val compile_batched : Design.t -> t
 
 (** A fresh run state for this plan: registers seeded from the plan's
@@ -79,8 +79,7 @@ type stats = {
   cs_steps : int;  (** compiled step closures across compute stages *)
   cs_folded : int;  (** constants folded into the pools at compile time *)
   cs_batched : int;
-      (** compute loops compiled to whole-stream batches (0 for
-          per-element plans) *)
+      (** compute loops compiled to whole-stream batches *)
 }
 
 val stats : t -> stats

@@ -37,7 +37,7 @@ val read_buffer : buffer -> Shmls_interp.Grid.t -> unit
 
 (** Run the kernel on explicit arguments (kernel-argument order).
     [sim] picks the functional-simulation engine (default the
-    reference interpreter); all three are bit-identical. *)
+    reference interpreter); both engines are bit-identical. *)
 val enqueue : ?sim:Shmls.sim -> program -> arg list -> event
 
 (** Allocate and fill every argument deterministically, enqueue, and

@@ -1,17 +1,16 @@
 (* First-class multi-device designs (DESIGN.md section 16).
 
-   Promotes the slab decomposition of {!Partition} from a host-side
-   trick into a plan the rest of the stack can reason about: one
-   compiled design per slab shape, explicit halo-exchange streams
-   between neighbouring devices, and host-level Jacobi time-stepping
-   ([mp_sweeps] kernel applications with feedback + halo exchange
-   between consecutive sweeps).
+   Slab decomposition as a plan the rest of the stack can reason
+   about: one compiled design per slab shape, explicit halo-exchange
+   streams between neighbouring devices, and host-level Jacobi
+   time-stepping ([mp_sweeps] kernel applications with feedback + halo
+   exchange between consecutive sweeps).
 
    Correctness argument (the induction the tests enforce bit-exactly):
    at every sweep start each slab's padded memory mirrors the global
    memory of the single-device reference on the slab's padded region.
    Seeding establishes it; a design run preserves it on interiors
-   (the single-sweep slab property {!Partition} already relied on);
+   (each slab's padded region holds every input its interior reads);
    the feedback copy is applied identically on both sides; and the
    exchange then refreshes every dim-0 halo plane that lies inside the
    global interior from the owning neighbour's freshly-computed

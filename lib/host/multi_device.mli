@@ -12,7 +12,7 @@
     old-state buffers — the classic ping-pong swap), after which the
     slabs exchange dim-0 halo planes so every device's memory again
     mirrors the global state.  With one sweep no exchange is needed
-    beyond the initial seeding (what {!Partition} has always done). *)
+    beyond the initial seeding. *)
 
 module Link = Shmls_fpga.Link
 

@@ -143,47 +143,6 @@ let test_host_event_consistency () =
   let mpts = Host.mpts_of_event prog event in
   Alcotest.(check (float 0.01)) "MPt/s consistent" est.e_mpts mpts
 
-(* -- domain decomposition ---------------------------------------------- *)
-
-let test_partition_bit_exact () =
-  List.iter
-    (fun slabs ->
-      let d =
-        Shmls_host.Partition.verify_against_reference
-          Shmls_kernels.Didactic.heat_3d ~grid:[ 16; 8; 6 ] ~slabs
-          ~params:[ ("alpha", 0.05) ] ()
-      in
-      if d <> 0.0 then Alcotest.failf "%d slabs: diff %g" slabs d)
-    [ 1; 2; 3; 4 ]
-
-let test_partition_pw_advection () =
-  let d =
-    Shmls_host.Partition.verify_against_reference Shmls_kernels.Pw_advection.kernel
-      ~grid:[ 24; 10; 8 ] ~slabs:3
-      ~params:[ ("tcx", 0.12); ("tcy", 0.09) ]
-      ()
-  in
-  Alcotest.(check (float 0.0)) "pw partitioned" 0.0 d
-
-let test_partition_scales () =
-  (* big enough along dim 0 that compute dominates the fixed fill *)
-  let k = Shmls_kernels.Didactic.heat_3d in
-  let grid = [ 96; 8; 6 ] in
-  let mpts slabs =
-    let r = Shmls_host.Partition.run k ~grid ~slabs ~params:[ ("alpha", 0.05) ] () in
-    Shmls_host.Partition.aggregate_mpts ~grid r
-  in
-  let m1 = mpts 1 and m4 = mpts 4 in
-  Alcotest.(check bool) "4 devices faster" true (m4 > 2.0 *. m1)
-
-let test_partition_rejects_oversplit () =
-  match
-    Shmls_host.Partition.run Shmls_kernels.Didactic.heat_3d ~grid:[ 4; 6; 6 ]
-      ~slabs:8 ~params:[ ("alpha", 0.05) ] ()
-  with
-  | exception Shmls_support.Err.Error _ -> ()
-  | _ -> Alcotest.fail "more slabs than rows must be rejected"
-
 (* -- occupancy tracing ------------------------------------------------------ *)
 
 let test_trace_capture () =
@@ -233,16 +192,6 @@ let () =
           Alcotest.test_case "all kernels" `Quick test_circt_all_kernels;
           Alcotest.test_case "balanced depths survive" `Quick
             test_circt_depths_survive;
-        ] );
-      ( "partition",
-        [
-          Alcotest.test_case "bit-exact at 1-4 slabs" `Quick test_partition_bit_exact;
-          Alcotest.test_case "PW advection partitioned" `Quick
-            test_partition_pw_advection;
-          Alcotest.test_case "aggregate throughput scales" `Quick
-            test_partition_scales;
-          Alcotest.test_case "rejects oversplitting" `Quick
-            test_partition_rejects_oversplit;
         ] );
       ("report", [ Alcotest.test_case "contents" `Quick test_report_contents ]);
       ("trace", [ Alcotest.test_case "capture + export" `Quick test_trace_capture ]);

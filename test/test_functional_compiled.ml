@@ -1,8 +1,8 @@
-(* Differential tests for the compiled functional simulators: both the
-   per-element and the whole-stream batched plans of {!Stage_compiler}
-   must be bit-for-bit identical to the reference IR interpreter in
-   {!Functional} — outputs on every kernel of the suites and the zoo,
-   and error behaviour (message *and* location) on mis-wired designs. *)
+(* Differential tests for the compiled functional simulator: the
+   whole-stream batched plan of {!Stage_compiler} must be bit-for-bit
+   identical to the reference IR interpreter in {!Functional} — outputs
+   on every kernel of the suites and the zoo, and error behaviour
+   (message *and* location) on mis-wired designs. *)
 
 let () = Shmls_dialects.Register.all ()
 
@@ -20,8 +20,7 @@ let args_of_state (st : Interp.kernel_state) =
   @ List.map (fun (_, v) -> Functional.F v) st.params
   |> Array.of_list
 
-(* Run the interpreter, the compiled plan and the batched plan on
-   identical fresh inputs; compare every float of every field and small,
+(* Run the interpreter and the batched plan on identical fresh inputs; compare every float of every field and small,
    bit for bit (full padded arrays, halos included — NaNs compare equal
    by bits). *)
 let check_bit_identical ?(seed = 7) ?variant (k : Shmls.Ast.kernel) ~grid =
@@ -51,10 +50,7 @@ let check_bit_identical ?(seed = 7) ?variant (k : Shmls.Ast.kernel) ~grid =
   in
   let b = Interp.alloc_state ~seed c.c_lowered in
   Stage_compiler.run (Lazy.force c.c_plan) ~args:(args_of_state b);
-  check_against "compiled" b;
-  let bb = Interp.alloc_state ~seed c.c_lowered in
-  Stage_compiler.run (Lazy.force c.c_plan_batched) ~args:(args_of_state bb);
-  check_against "batched" bb
+  check_against "batched" b
 
 let test_suite_kernels_bit_identical () =
   List.iter
@@ -81,16 +77,14 @@ let qcheck_random_kernels_bit_identical =
         check_bit_identical ~seed k ~grid:(H.small_grid k.k_rank);
         true)
 
-(* The verify entry point itself, through all three engines. *)
+(* The verify entry point itself, through both engines. *)
 let test_verify_compiled_matches_interp () =
   List.iter
     (fun (k, grid) ->
       let c = Shmls.compile_cached k ~grid in
       let vi = Shmls.verify ~sim:Shmls.Interp c in
-      let vc = Shmls.verify ~sim:Shmls.Compiled c in
       let vb = Shmls.verify ~sim:Shmls.Batched c in
       Alcotest.(check (float 0.0)) "interp bit-exact" 0.0 vi.v_max_diff;
-      Alcotest.(check (float 0.0)) "compiled bit-exact" 0.0 vc.v_max_diff;
       Alcotest.(check (float 0.0)) "batched bit-exact" 0.0 vb.v_max_diff)
     H.all_test_kernels
 
@@ -116,16 +110,11 @@ let test_variants_bit_exact () =
         (fun (k, grid) ->
           let c = Shmls.compile_cached ~variant k ~grid in
           let vi = Shmls.verify ~sim:Shmls.Interp c in
-          let vc = Shmls.verify ~sim:Shmls.Compiled c in
           let vb = Shmls.verify ~sim:Shmls.Batched c in
           Alcotest.(check (float 0.0))
             (Printf.sprintf "%s{%s} interp bit-exact" k.k_name
                (Shmls.Variant.to_string variant))
             0.0 vi.v_max_diff;
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s{%s} compiled bit-exact" k.k_name
-               (Shmls.Variant.to_string variant))
-            0.0 vc.v_max_diff;
           Alcotest.(check (float 0.0))
             (Printf.sprintf "%s{%s} batched bit-exact" k.k_name
                (Shmls.Variant.to_string variant))
@@ -186,15 +175,15 @@ let test_batched_plans_actually_batch () =
   List.iter
     (fun (k, grid) ->
       let c = Shmls.compile_cached k ~grid in
-      let sb = Stage_compiler.stats (Lazy.force c.c_plan_batched) in
+      let plan = Lazy.force c.c_plan in
       Alcotest.(check bool)
         (Printf.sprintf "%s: batched plan has whole-stream loops" k.k_name)
         true
-        (sb.Stage_compiler.cs_batched >= 1);
-      let sc = Stage_compiler.stats (Lazy.force c.c_plan) in
-      Alcotest.(check int)
-        (Printf.sprintf "%s: per-element plan has none" k.k_name)
-        0 sc.Stage_compiler.cs_batched)
+        ((Stage_compiler.stats plan).Stage_compiler.cs_batched >= 1);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: both plan fields share one plan" k.k_name)
+        true
+        (Lazy.force c.c_plan_batched == plan))
     variant_kernels
 
 (* Variant syntax round-trips, so pipeline strings and CLI flags agree. *)
@@ -224,30 +213,23 @@ let run_expect_error what run =
   | () -> Alcotest.failf "%s: expected an error" what
   | exception Shmls.Err.Error e -> e
 
-(* Every engine must report the same diagnostic (message and location)
-   when a design is mis-wired — the batched engine through its
-   per-element replay path. *)
+(* The batched plan must report the same diagnostic (message and
+   location) as the interpreter when a design is mis-wired — a starved
+   block through its per-element replay path. *)
 let check_error_parity what (d : Shmls.Design.t) ~args_of =
   let ei = run_expect_error (what ^ " (interp)") (fun () ->
       Functional.run d ~args:(args_of ())) in
-  let check_engine engine compile =
-    let e =
-      run_expect_error
-        (Printf.sprintf "%s (%s)" what engine)
-        (fun () ->
-          let plan = compile d in
-          Stage_compiler.run plan ~args:(args_of ()))
-    in
-    Alcotest.(check string)
-      (Printf.sprintf "%s: same message (%s)" what engine)
-      ei.Shmls_support.Diagnostic.d_message e.Shmls_support.Diagnostic.d_message;
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: same location (%s)" what engine)
-      true
-      (ei.Shmls_support.Diagnostic.d_loc = e.Shmls_support.Diagnostic.d_loc)
+  let e =
+    run_expect_error (what ^ " (batched)") (fun () ->
+        Stage_compiler.run (Stage_compiler.compile d) ~args:(args_of ()))
   in
-  check_engine "compiled" Stage_compiler.compile;
-  check_engine "batched" Stage_compiler.compile_batched
+  Alcotest.(check string)
+    (what ^ ": same message")
+    ei.Shmls_support.Diagnostic.d_message e.Shmls_support.Diagnostic.d_message;
+  Alcotest.(check bool)
+    (what ^ ": same location")
+    true
+    (ei.Shmls_support.Diagnostic.d_loc = e.Shmls_support.Diagnostic.d_loc)
 
 let test_starved_read_parity () =
   (* dropping the load stage starves the first read: the diagnostic is
@@ -388,14 +370,9 @@ let sweep_parity_configs =
 
 let qcheck_parallel_sweep_identical =
   H.qtest ~count:15 "parallel sweep = sequential sweep for any jobs/chunk"
-    QCheck2.Gen.(triple (int_range 2 5) (int_range 1 7) (int_range 0 2))
-    (fun (jobs, chunk, which_sim) ->
-      let sim =
-        match which_sim with
-        | 0 -> Shmls.Interp
-        | 1 -> Shmls.Compiled
-        | _ -> Shmls.Batched
-      in
+    QCheck2.Gen.(triple (int_range 2 5) (int_range 1 7) bool)
+    (fun (jobs, chunk, batched) ->
+      let sim = if batched then Shmls.Batched else Shmls.Interp in
       let expected =
         Shmls.sweep ~jobs:1 ~sim ~verify_designs:true sweep_parity_configs
       in

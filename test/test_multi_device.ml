@@ -126,8 +126,13 @@ let test_multi_sweep_bit_exact () =
         [ 1; 2; 3 ])
     [
       (Shmls_kernels.Didactic.heat_3d, [ 12; 8; 6 ], [ ("alpha", 0.05) ]);
+      (Shmls_kernels.Didactic.heat_3d, [ 16; 8; 6 ], [ ("alpha", 0.05) ]);
       (Shmls_kernels.Didactic.laplace_2d, [ 14; 12 ], []);
       (inout_1d, [ 24 ], []);
+      (* no feedback pairs: every sweep recomputes the same outputs *)
+      ( Shmls_kernels.Pw_advection.kernel,
+        [ 24; 10; 8 ],
+        [ ("tcx", 0.12); ("tcy", 0.09) ] );
     ]
 
 let test_engines_bit_exact () =
@@ -140,7 +145,7 @@ let test_engines_bit_exact () =
       check_exact
         (Printf.sprintf "heat_3d %s" (Shmls.sim_to_string sim))
         (MD.verify_vs_reference ~sim ~params:[ ("alpha", 0.05) ] p))
-    [ Shmls.Interp; Shmls.Compiled; Shmls.Batched ]
+    [ Shmls.Interp; Shmls.Batched ]
 
 let test_variants_bit_exact () =
   List.iter
@@ -179,7 +184,7 @@ let prop_random_kernel_bit_exact =
     let* k = H.gen_kernel in
     let* devices = int_range 1 3 in
     let* sweeps = int_range 1 2 in
-    let* sim = oneofl [ Shmls.Interp; Shmls.Compiled; Shmls.Batched ] in
+    let* sim = oneofl [ Shmls.Interp; Shmls.Batched ] in
     return (k, devices, sweeps, sim)
   in
   H.qtest ~count:12 "random kernels reassemble bit-exactly" gen
@@ -351,7 +356,7 @@ let () =
             test_all_kernels_bit_exact;
           Alcotest.test_case "multi-sweep time-stepping" `Quick
             test_multi_sweep_bit_exact;
-          Alcotest.test_case "all three engines" `Quick test_engines_bit_exact;
+          Alcotest.test_case "both engines" `Quick test_engines_bit_exact;
           Alcotest.test_case "ablation variants" `Quick test_variants_bit_exact;
           Alcotest.test_case "run accounting" `Quick test_run_accounting;
           prop_random_kernel_bit_exact;
