@@ -139,6 +139,77 @@ let test_interp_inout_gather_semantics () =
       (Grid.get a [ i ])
   done
 
+(* -- pinned reference outputs -------------------------------------------- *)
+
+(* The interpreter is the oracle every design is checked against, so its
+   own outputs are pinned: golden/reference.sum holds one digest per
+   output field (MD5 of Int64.bits_of_float over the whole padded grid)
+   for the paper kernels, the didactic kernels and the zoo, three seeds
+   and two grids each.  Kernels run in the form verification uses
+   (lowered, shape-inferred, applies split).  On a mismatch the
+   recomputed table is written to reference.sum.actual beside the test
+   binary. *)
+
+let golden_kernels =
+  [ Shmls_kernels.Pw_advection.kernel; Shmls_kernels.Tracer_advection.kernel ]
+  @ Shmls_kernels.Didactic.all
+  @ List.map fst Shmls_kernels.Zoo.all
+
+let golden_grids rank =
+  match rank with
+  | 1 -> [ [ 16 ]; [ 131 ] ]
+  | 2 -> [ [ 16; 14 ]; [ 7; 67 ] ]
+  | _ -> [ [ 8; 6; 5 ]; [ 5; 4; 67 ] ]
+
+let bits_digest (g : Grid.t) =
+  let b = Buffer.create (8 * Array.length g.data) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) g.data;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let reference_lines () =
+  List.concat_map
+    (fun (k : Shmls_frontend.Ast.kernel) ->
+      List.concat_map
+        (fun grid ->
+          let l = prepared k grid in
+          ignore (Shmls_transforms.Apply_split.run_on_module l.l_module);
+          List.concat_map
+            (fun seed ->
+              let st = Interp.run_lowered ~seed l in
+              List.filter_map
+                (fun (fd : Shmls_frontend.Ast.field_decl) ->
+                  if fd.fd_role = Shmls_frontend.Ast.Input then None
+                  else
+                    Some
+                      (Printf.sprintf "%s %s seed=%d %s %s" k.k_name
+                         (String.concat "x" (List.map string_of_int grid))
+                         seed fd.fd_name
+                         (bits_digest (List.assoc fd.fd_name st.fields))))
+                k.k_fields)
+            [ 0; 7; 42 ])
+        (golden_grids k.k_rank))
+    golden_kernels
+
+let test_reference_golden () =
+  let expected =
+    In_channel.with_open_text "golden/reference.sum" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let got = reference_lines () in
+  if got <> expected then begin
+    Out_channel.with_open_text "reference.sum.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) got);
+    let rec first_diff = function
+      | e :: es, g :: gs -> if e = g then first_diff (es, gs) else (e, g)
+      | e :: _, [] -> (e, "<missing>")
+      | [], g :: _ -> ("<missing>", g)
+      | [], [] -> ("", "")
+    in
+    let e, g = first_diff (expected, got) in
+    Alcotest.failf "reference outputs moved:\n  pinned: %s\n  now:    %s" e g
+  end
+
 (* -- CPU lowering cross-check ------------------------------------------- *)
 
 let cpu_matches_reference (k : Shmls_frontend.Ast.kernel) grid =
@@ -262,6 +333,8 @@ let () =
             test_interp_chain_smalls_params;
           Alcotest.test_case "inout gather semantics" `Quick
             test_interp_inout_gather_semantics;
+          Alcotest.test_case "pinned reference digests" `Quick
+            test_reference_golden;
         ] );
       ( "cpu-lowering",
         [
