@@ -347,10 +347,17 @@ let run_sweep kernel_specs grids_spec variant_spec sim verify seed jobs chunk
       (* multi-device sweeps verify the reassembled slab ensemble instead
          of the single design; model and measured cycles stay those of
          the single-chip design, so a bit-exact multi-device sweep's
-         JSONL is byte-identical to the single-device one *)
+         JSONL is byte-identical to the single-device one.  A
+         configuration that does not compile stays unverified, as in a
+         single-device sweep. *)
+      let compiles () =
+        match Shmls.compile_cached ~variant kernels_arr.(idx) ~grid with
+        | _ -> true
+        | exception Shmls_support.Err.Error _ -> false
+      in
       let row =
         match row with
-        | outcomes, None when verify && devices > 1 ->
+        | outcomes, None when verify && devices > 1 && compiles () ->
           let p =
             Shmls_host.Multi_device.plan ~variant kernels_arr.(idx) ~grid
               ~devices

@@ -72,6 +72,9 @@ let stats_of_kernel (k : Shmls_frontend.Ast.kernel) =
   }
 
 let total_padded ~grid ~halo =
+  if List.length grid <> List.length halo then
+    Err.raise_error "grid rank %d, kernel rank %d" (List.length grid)
+      (List.length halo);
   List.fold_left ( * ) 1 (List.map2 (fun g h -> g + (2 * h)) grid halo)
 
 let interior ~grid = List.fold_left ( * ) 1 grid

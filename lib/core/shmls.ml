@@ -401,18 +401,18 @@ let evaluate_hmls ?(cu = -1) (c : compiled) : Flow.outcome =
    dedicated pool of [n] streams. *)
 let evaluate_all ?(jobs = 0) ?(variant = Variant.default) (kernel : Ast.kernel)
     ~grid =
+  (* a flow that cannot handle the configuration (say, a grid whose rank
+     is not the kernel's) reports a failure instead of raising *)
+  let flow name f () =
+    try f () with Err.Error e -> Flow.Failure { f_flow = name; f_reason = Err.to_string e }
+  in
   let flows =
     [
-      (fun () ->
-        try
-          let c = compile_cached ~variant kernel ~grid in
-          evaluate_hmls c
-        with Err.Error e ->
-          Flow.Failure { f_flow = "Stencil-HMLS"; f_reason = Err.to_string e });
-      (fun () -> Shmls_baselines.Dace.evaluate kernel ~grid);
-      (fun () -> Shmls_baselines.Soda.evaluate kernel ~grid);
-      (fun () -> Shmls_baselines.Vitis.evaluate kernel ~grid);
-      (fun () -> Shmls_baselines.Stencilflow.evaluate kernel ~grid);
+      flow "Stencil-HMLS" (fun () -> evaluate_hmls (compile_cached ~variant kernel ~grid));
+      flow "DaCe" (fun () -> Shmls_baselines.Dace.evaluate kernel ~grid);
+      flow "SODA-opt" (fun () -> Shmls_baselines.Soda.evaluate kernel ~grid);
+      flow "Vitis HLS" (fun () -> Shmls_baselines.Vitis.evaluate kernel ~grid);
+      flow "StencilFlow" (fun () -> Shmls_baselines.Stencilflow.evaluate kernel ~grid);
     ]
   in
   if jobs = 1 then List.map (fun f -> f ()) flows

@@ -124,6 +124,28 @@ let iter_bounds_arr (bounds : Ty.bounds) f =
   in
   go 0
 
+(* Visit every row of [bounds] (the points that differ only in their
+   innermost index): before each call of [f len], [pos] holds the row's
+   first point, and [f] may move [pos]'s innermost index. *)
+let iter_rows (bounds : Ty.bounds) (pos : int array) f =
+  let lb, ub, _ = geometry bounds in
+  let inner = Array.length lb - 1 in
+  if Ty.bounds_points bounds > 0 then begin
+    let len = ub.(inner) - lb.(inner) in
+    let rec go d =
+      if d = inner then begin
+        pos.(inner) <- lb.(inner);
+        f len
+      end
+      else
+        for x = lb.(d) to ub.(d) - 1 do
+          pos.(d) <- x;
+          go (d + 1)
+        done
+    in
+    go 0
+  end
+
 let iter t f = iter_bounds t.bounds (fun idx -> f idx (get t idx))
 
 let map_inplace t f =
@@ -184,31 +206,18 @@ let max_abs_diff_on bounds a b =
         d := Float.max !d (Float.abs (da -. db)));
     !d
   end
-  else if Ty.bounds_points bounds = 0 then 0.0
   else begin
-    let lb, ub, _ = geometry bounds in
-    let rank = Array.length lb in
-    let inner = ub.(rank - 1) - lb.(rank - 1) in
     let d = ref 0.0 in
-    let pos = Array.copy lb in
-    let rec go dim =
-      if dim = rank - 1 then begin
+    let pos = Array.of_list bounds.Ty.lb in
+    iter_rows bounds pos (fun len ->
         let ba = unsafe_linear a pos and bb = unsafe_linear b pos in
         let da = a.data and db = b.data in
-        for j = 0 to inner - 1 do
+        for j = 0 to len - 1 do
           d :=
             Float.max !d
               (Float.abs
                  (Array.unsafe_get da (ba + j) -. Array.unsafe_get db (bb + j)))
-        done
-      end
-      else
-        for i = lb.(dim) to ub.(dim) - 1 do
-          pos.(dim) <- i;
-          go (dim + 1)
-        done
-    in
-    go 0;
+        done);
     !d
   end
 

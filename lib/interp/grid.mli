@@ -45,6 +45,12 @@ val iter_bounds : Ty.bounds -> (int list -> unit) -> unit
     must not retain it across points. *)
 val iter_bounds_arr : Ty.bounds -> (int array -> unit) -> unit
 
+(** [iter_rows bounds pos f] visits every row of [bounds] (the points
+    that differ only in their innermost index) in row-major order: before
+    each call of [f len], [pos] holds the row's first point, and [f] may
+    move [pos]'s innermost index. *)
+val iter_rows : Ty.bounds -> int array -> (int -> unit) -> unit
+
 val iter : t -> (int list -> float -> unit) -> unit
 val map_inplace : t -> (int list -> float -> float) -> unit
 val fill : t -> float -> unit

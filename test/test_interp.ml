@@ -139,6 +139,28 @@ let test_interp_inout_gather_semantics () =
       (Grid.get a [ i ])
   done
 
+let test_interp_out_of_range () =
+  (* reads and stores outside a field keep the per-point check *)
+  let l = prepared H.avg_1d [ 8 ] in
+  let run ~a ~b =
+    let st = Interp.alloc_state l in
+    let pick (name, g) =
+      match (name, a, b) with
+      | "a", Some g', _ | "b", _, Some g' -> Interp.G g'
+      | _ -> Interp.G g
+    in
+    ignore (Interp.run_func l.l_func ~args:(List.map pick st.fields))
+  in
+  let grid lb ub = Some (Grid.create (Ty.make_bounds ~lb:[ lb ] ~ub:[ ub ])) in
+  Alcotest.check_raises "read"
+    (Shmls_support.Err.Error
+       (Shmls_support.Err.make "Grid: index -1 outside [0,9)"))
+    (fun () -> run ~a:(grid 0 9) ~b:None);
+  Alcotest.check_raises "store"
+    (Shmls_support.Err.Error
+       (Shmls_support.Err.make "Grid: index 0 outside [1,9)"))
+    (fun () -> run ~a:None ~b:(grid 1 9))
+
 (* -- pinned reference outputs -------------------------------------------- *)
 
 (* The interpreter is the oracle every design is checked against, so its
@@ -333,6 +355,8 @@ let () =
             test_interp_chain_smalls_params;
           Alcotest.test_case "inout gather semantics" `Quick
             test_interp_inout_gather_semantics;
+          Alcotest.test_case "out-of-range reads and stores" `Quick
+            test_interp_out_of_range;
           Alcotest.test_case "pinned reference digests" `Quick
             test_reference_golden;
         ] );
