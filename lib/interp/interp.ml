@@ -108,6 +108,13 @@ let temp_bounds v =
     Err.raise_error "interp: temp without bounds (run shape inference first)"
   | t -> Err.raise_error "interp: expected temp, got %s" (Ty.to_string t)
 
+(* The checked linear index in [g] of the point whose coordinates sit in
+   the int slots [idx], gathered through the scratch array [at]. *)
+let linear_at env (g : Grid.t) idx at =
+  Array.iteri (fun k s -> at.(k) <- env.i.(s)) idx;
+  Grid.check_index_arr g at;
+  Grid.unsafe_linear g at
+
 let unsupported (op : Ir.op) =
   Err.raise_error "interp: unsupported op %s in stencil body" (Ir.Op.name op)
 
@@ -134,122 +141,116 @@ let compile_moves env srcs dsts =
     Array.iteri (fun k (_, d) -> g.(d) <- tg.(k)) gm
 
 (* The meaning of every arith/math op, compiled once into a closure over
-   register slots.  Shared by the stencil and the CPU-lowered executors;
-   [None] for any other op. *)
+   register slots.  Shared by the stencil and the CPU-lowered executors. *)
 let compile_scalar env (op : Ir.op) =
   let open Array in
   let f = env.f and i = env.i in
-  let arg k = Ir.Op.operand op k and res = Ir.Op.result op 0 in
-  let ff () = (fslot env (arg 0), fslot env (arg 1), fslot env res) in
-  let f1 () = (fslot env (arg 0), fslot env res) in
-  let ii () = (islot env (arg 0), islot env (arg 1), islot env res) in
-  let fi () = (fslot env (arg 0), fslot env (arg 1), islot env res) in
+  let arg k = Ir.Op.operand op k and res () = Ir.Op.result op 0 in
+  let ff () = (fslot env (arg 0), fslot env (arg 1), fslot env (res ())) in
+  let f1 () = (fslot env (arg 0), fslot env (res ())) in
+  let ii () = (islot env (arg 0), islot env (arg 1), islot env (res ())) in
+  let fi () = (fslot env (arg 0), fslot env (arg 1), islot env (res ())) in
   match Ir.Op.name op with
   | "arith.constant" -> (
-    match (Ir.Op.get_attr_exn op "value", cls_of res) with
+    match (Ir.Op.get_attr_exn op "value", cls_of (res ())) with
     | Attr.Float x, Some Flt ->
-      let d = fslot env res in
-      Some (fun () -> f.(d) <- x)
+      let d = fslot env (res ()) in
+      fun () -> f.(d) <- x
     | Attr.Int n, Some Flt ->
-      let d = fslot env res in
-      Some (fun () -> f.(d) <- float_of_int n)
+      let d = fslot env (res ()) in
+      fun () -> f.(d) <- float_of_int n
     | Attr.Int n, Some Int ->
-      let d = islot env res in
-      Some (fun () -> i.(d) <- n)
+      let d = islot env (res ()) in
+      fun () -> i.(d) <- n
     | _ -> Err.raise_error "interp: bad arith.constant")
   | "arith.addf" ->
     let a, b, d = ff () in
-    Some (fun () -> unsafe_set f d (unsafe_get f a +. unsafe_get f b))
+    fun () -> unsafe_set f d (unsafe_get f a +. unsafe_get f b)
   | "arith.subf" ->
     let a, b, d = ff () in
-    Some (fun () -> unsafe_set f d (unsafe_get f a -. unsafe_get f b))
+    fun () -> unsafe_set f d (unsafe_get f a -. unsafe_get f b)
   | "arith.mulf" ->
     let a, b, d = ff () in
-    Some (fun () -> unsafe_set f d (unsafe_get f a *. unsafe_get f b))
+    fun () -> unsafe_set f d (unsafe_get f a *. unsafe_get f b)
   | "arith.divf" ->
     let a, b, d = ff () in
-    Some (fun () -> unsafe_set f d (unsafe_get f a /. unsafe_get f b))
+    fun () -> unsafe_set f d (unsafe_get f a /. unsafe_get f b)
   | "arith.maximumf" ->
     let a, b, d = ff () in
-    Some (fun () -> unsafe_set f d (Float.max (unsafe_get f a) (unsafe_get f b)))
+    fun () -> unsafe_set f d (Float.max (unsafe_get f a) (unsafe_get f b))
   | "arith.minimumf" ->
     let a, b, d = ff () in
-    Some (fun () -> unsafe_set f d (Float.min (unsafe_get f a) (unsafe_get f b)))
+    fun () -> unsafe_set f d (Float.min (unsafe_get f a) (unsafe_get f b))
   | "math.powf" ->
     let a, b, d = ff () in
-    Some (fun () -> unsafe_set f d (unsafe_get f a ** unsafe_get f b))
+    fun () -> unsafe_set f d (unsafe_get f a ** unsafe_get f b)
   | "arith.negf" ->
     let a, d = f1 () in
-    Some (fun () -> unsafe_set f d (-.unsafe_get f a))
+    fun () -> unsafe_set f d (-.unsafe_get f a)
   | "math.sqrt" ->
     let a, d = f1 () in
-    Some (fun () -> unsafe_set f d (sqrt (unsafe_get f a)))
+    fun () -> unsafe_set f d (sqrt (unsafe_get f a))
   | "math.exp" ->
     let a, d = f1 () in
-    Some (fun () -> unsafe_set f d (exp (unsafe_get f a)))
+    fun () -> unsafe_set f d (exp (unsafe_get f a))
   | "math.log" ->
     let a, d = f1 () in
-    Some (fun () -> unsafe_set f d (log (unsafe_get f a)))
+    fun () -> unsafe_set f d (log (unsafe_get f a))
   | "math.absf" ->
     let a, d = f1 () in
-    Some (fun () -> unsafe_set f d (Float.abs (unsafe_get f a)))
+    fun () -> unsafe_set f d (Float.abs (unsafe_get f a))
   | "math.tanh" ->
     let a, d = f1 () in
-    Some (fun () -> unsafe_set f d (tanh (unsafe_get f a)))
+    fun () -> unsafe_set f d (tanh (unsafe_get f a))
   | "arith.addi" ->
     let a, b, d = ii () in
-    Some (fun () -> unsafe_set i d (unsafe_get i a + unsafe_get i b))
+    fun () -> unsafe_set i d (unsafe_get i a + unsafe_get i b)
   | "arith.subi" ->
     let a, b, d = ii () in
-    Some (fun () -> unsafe_set i d (unsafe_get i a - unsafe_get i b))
+    fun () -> unsafe_set i d (unsafe_get i a - unsafe_get i b)
   | "arith.muli" ->
     let a, b, d = ii () in
-    Some (fun () -> unsafe_set i d (unsafe_get i a * unsafe_get i b))
+    fun () -> unsafe_set i d (unsafe_get i a * unsafe_get i b)
   | "arith.divsi" ->
     let a, b, d = ii () in
-    Some (fun () -> unsafe_set i d (unsafe_get i a / unsafe_get i b))
+    fun () -> unsafe_set i d (unsafe_get i a / unsafe_get i b)
   | "arith.remsi" ->
     let a, b, d = ii () in
-    Some (fun () -> unsafe_set i d (unsafe_get i a mod unsafe_get i b))
+    fun () -> unsafe_set i d (unsafe_get i a mod unsafe_get i b)
   | "arith.sitofp" ->
-    let a = islot env (arg 0) and d = fslot env res in
-    Some (fun () -> unsafe_set f d (float_of_int (unsafe_get i a)))
+    let a = islot env (arg 0) and d = fslot env (res ()) in
+    fun () -> unsafe_set f d (float_of_int (unsafe_get i a))
   | "arith.index_cast" ->
-    let a = islot env (arg 0) and d = islot env res in
-    Some (fun () -> unsafe_set i d (unsafe_get i a))
+    let a = islot env (arg 0) and d = islot env (res ()) in
+    fun () -> unsafe_set i d (unsafe_get i a)
   | "arith.select" -> (
     if cls_of (arg 0) <> Some Int then Err.raise_error "interp: select condition";
     let c = islot env (arg 0) in
-    match cls_of res with
+    match cls_of (res ()) with
     | Some Flt ->
-      let a = fslot env (arg 1) and b = fslot env (arg 2) and d = fslot env res in
-      Some
-        (fun () ->
-          unsafe_set f d (if unsafe_get i c <> 0 then unsafe_get f a else unsafe_get f b))
+      let a = fslot env (arg 1) and b = fslot env (arg 2) and d = fslot env (res ()) in
+      fun () ->
+        unsafe_set f d (if unsafe_get i c <> 0 then unsafe_get f a else unsafe_get f b)
     | Some Int ->
-      let a = islot env (arg 1) and b = islot env (arg 2) and d = islot env res in
-      Some
-        (fun () ->
-          unsafe_set i d (if unsafe_get i c <> 0 then unsafe_get i a else unsafe_get i b))
+      let a = islot env (arg 1) and b = islot env (arg 2) and d = islot env (res ()) in
+      fun () ->
+        unsafe_set i d (if unsafe_get i c <> 0 then unsafe_get i a else unsafe_get i b)
     | Some Grd | None ->
       let g = env.g in
-      let a = gslot env (arg 1) and b = gslot env (arg 2) and d = gslot env res in
-      Some (fun () -> g.(d) <- (if i.(c) <> 0 then g.(a) else g.(b))))
+      let a = gslot env (arg 1) and b = gslot env (arg 2) and d = gslot env (res ()) in
+      fun () -> g.(d) <- (if i.(c) <> 0 then g.(a) else g.(b)))
   | "arith.cmpf" -> (
     let a, b, d = fi () in
     let[@inline] set r = unsafe_set i d (Bool.to_int r) in
     match Attr.str_exn (Ir.Op.get_attr_exn op "predicate") with
-    | "olt" | "ult" -> Some (fun () -> set (unsafe_get f a < unsafe_get f b))
-    | "ole" | "ule" -> Some (fun () -> set (unsafe_get f a <= unsafe_get f b))
-    | "ogt" | "ugt" -> Some (fun () -> set (unsafe_get f a > unsafe_get f b))
-    | "oge" | "uge" -> Some (fun () -> set (unsafe_get f a >= unsafe_get f b))
-    | "oeq" | "ueq" -> Some (fun () -> set (unsafe_get f a = unsafe_get f b))
-    | "one" | "une" -> Some (fun () -> set (unsafe_get f a <> unsafe_get f b))
+    | "olt" | "ult" -> fun () -> set (unsafe_get f a < unsafe_get f b)
+    | "ole" | "ule" -> fun () -> set (unsafe_get f a <= unsafe_get f b)
+    | "ogt" | "ugt" -> fun () -> set (unsafe_get f a > unsafe_get f b)
+    | "oge" | "uge" -> fun () -> set (unsafe_get f a >= unsafe_get f b)
+    | "oeq" | "ueq" -> fun () -> set (unsafe_get f a = unsafe_get f b)
+    | "one" | "une" -> fun () -> set (unsafe_get f a <> unsafe_get f b)
     | p -> Err.raise_error "interp: cmpf predicate %s" p)
-  | _ -> None
-
-let compile_scalar_exn env op =
-  match compile_scalar env op with Some c -> c | None -> unsupported op
+  | _ -> unsupported op
 
 (* ------------------------------------------------------------------ *)
 (* stencil.apply: the body compiled against the grids bound to its
@@ -304,9 +305,9 @@ let run_apply env (op : Ir.op) =
       let off = Array.of_list (Stencil.access_offset o) and data = g.Grid.data in
       if access_inside o then begin
         let c = cursor g in
-        let delta = ref 0 in
-        Array.iteri (fun k x -> delta := !delta + (x * g.Grid.strides.(k))) off;
-        let delta = !delta in
+        let delta =
+          Array.fold_left ( + ) 0 (Array.mapi (fun k x -> x * g.Grid.strides.(k)) off)
+        in
         [
           (fun () ->
             Array.unsafe_set f d (Array.unsafe_get data (Array.unsafe_get lin c + delta)));
@@ -325,12 +326,7 @@ let run_apply env (op : Ir.op) =
       let g = access_grid o and d = fslot env (Ir.Op.result o 0) in
       let idx = Array.of_list (List.tl (Ir.Op.operands o)) |> Array.map (islot env) in
       let at = Array.make (Array.length idx) 0 in
-      [
-        (fun () ->
-          Array.iteri (fun k s -> at.(k) <- i.(s)) idx;
-          Grid.check_index_arr g at;
-          f.(d) <- g.Grid.data.(Grid.unsafe_linear g at));
-      ]
+      [ (fun () -> f.(d) <- g.Grid.data.(linear_at env g idx at)) ]
     | "stencil.index" ->
       let dim = Attr.int_exn (Ir.Op.get_attr_exn o "dim") in
       let d = islot env (Ir.Op.result o 0) in
@@ -338,31 +334,18 @@ let run_apply env (op : Ir.op) =
     | name when name = Stencil.return_op ->
       List.mapi
         (fun k v ->
-          let res = results.(k) in
+          let res = results.(k) and s = fslot env v in
           let data = res.Grid.data in
-          let value =
-            match cls_of v with
-            | Some Int ->
-              let s = islot env v in
-              fun () -> float_of_int i.(s)
-            | _ ->
-              let s = fslot env v in
-              fun () -> f.(s)
-          in
           if results_inside.(k) then begin
             let c = cursor res in
-            match cls_of v with
-            | Some Int -> fun () -> data.(lin.(c)) <- value ()
-            | _ ->
-              let s = fslot env v in
-              fun () ->
-                Array.unsafe_set data (Array.unsafe_get lin c) (Array.unsafe_get f s)
+            fun () ->
+              Array.unsafe_set data (Array.unsafe_get lin c) (Array.unsafe_get f s)
           end
           else fun () ->
             Grid.check_index_arr res pos;
-            data.(Grid.unsafe_linear res pos) <- value ())
+            data.(Grid.unsafe_linear res pos) <- f.(s))
         (Ir.Op.operands o)
-    | _ -> [ compile_scalar_exn env o ]
+    | _ -> [ compile_scalar env o ]
   in
   if Ty.bounds_points bounds > 0 then begin
     let body = Array.of_list (List.concat_map compile_body body_ops) in
@@ -414,7 +397,7 @@ let run_func (func : Ir.op) ~(args : rval list) =
       | name when name = Stencil.apply_op -> run_apply env op
       | name when name = Stencil.store_op -> run_store env op
       | "func.return" -> ()
-      | _ -> compile_scalar_exn env op ())
+      | _ -> compile_scalar env op ())
     ops;
   env
 
@@ -429,11 +412,6 @@ let rec compile_generic env (op : Ir.op) =
   let indices from =
     List.filteri (fun k _ -> k >= from) (Ir.Op.operands op)
     |> Array.of_list |> Array.map (islot env)
-  in
-  let linear (g : Grid.t) idx at =
-    Array.iteri (fun k s -> at.(k) <- env.i.(s)) idx;
-    Grid.check_index_arr g at;
-    Grid.unsafe_linear g at
   in
   match Ir.Op.name op with
   | "memref.alloc" | "memref.alloca" ->
@@ -451,13 +429,13 @@ let rec compile_generic env (op : Ir.op) =
     let d = fslot env (Ir.Op.result op 0) and at = Array.make (Array.length idx) 0 in
     fun () ->
       let g = env.g.(m) in
-      env.f.(d) <- g.Grid.data.(linear g idx at)
+      env.f.(d) <- g.Grid.data.(linear_at env g idx at)
   | "memref.store" ->
     let v = fslot env (arg 0) and m = gslot env (arg 1) and idx = indices 2 in
     let at = Array.make (Array.length idx) 0 in
     fun () ->
       let g = env.g.(m) in
-      g.Grid.data.(linear g idx at) <- env.f.(v)
+      g.Grid.data.(linear_at env g idx at) <- env.f.(v)
   | "memref.copy" ->
     let s = gslot env (arg 0) and d = gslot env (arg 1) in
     fun () ->
@@ -495,7 +473,7 @@ let rec compile_generic env (op : Ir.op) =
       | _ -> Err.raise_error "interp: scf.if regions"
     in
     fun () -> if env.i.(c) <> 0 then then_ () else else_ ()
-  | _ -> compile_scalar_exn env op
+  | _ -> compile_scalar env op
 
 (* A block whose scf.yield assigns [dsts]. *)
 and compile_yielding env block dsts =
