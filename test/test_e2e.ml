@@ -204,7 +204,7 @@ let () =
           Alcotest.test_case "tracer structure" `Quick test_tracer_structural_claims;
           Alcotest.test_case "grid sizes" `Quick test_grid_sizes_match_paper;
         ] );
-      ( "boundary-grids",
+      ( "boundary",
         [
           Alcotest.test_case "PW 67x65x33 batched = reference" `Quick test_boundary_pw;
           Alcotest.test_case "tracer 67x65x33 batched = reference" `Quick
