@@ -127,6 +127,6 @@ let render ?sim_engine ?sim_plan ?cycle_result (d : Design.t) =
         s.cs_fregs s.cs_iregs s.cs_pregs s.cs_vregs;
       line "    compiled steps      : %d closure(s) across compute stages"
         s.cs_steps;
-      line "    batched loops       : %d whole-stream loop(s)" s.cs_batched;
+      line "    batched loops       : %d loop(s)" s.cs_batched;
       line "    folded constants    : %d" s.cs_folded));
   Buffer.contents buf

@@ -12,13 +12,19 @@
      - each region op becomes a step closure capturing its slot indices
        (constants are folded into the plan's constant pool at compile
        time and emit no step at all);
-     - stream buffers are growable [float array] ring buffers with O(1)
-       push/pop/length; a vector stream of width [w] stores [w]
-       consecutive floats per token, so neighbourhoods travel as flat
-       slices instead of boxed [Vector] tokens;
+     - stream buffers are growable [float array]s read through per-
+       stream views; a vector stream of width [w] stores [w] consecutive
+       floats per token, so neighbourhoods travel as flat slices instead
+       of boxed [Vector] tokens;
      - compute loops whose bodies are independent per element run in
-       whole-stream blocks over dense columns (see "Batched compute-loop
-       compilation" below); every other loop runs per element.
+       blocks over dense columns (see "Batched compute-loop compilation"
+       below); every other loop runs per element;
+     - the stages stream, as the hardware's do: each sweep of the
+       schedule ([run_with]) has the loads push one chunk and every
+       later stage, in topological order, advance as far as its inputs
+       allow, resuming from cursors kept in the run state.  Buffers keep
+       only what some reader still needs, so they hold a chunk plus each
+       stream's lag instead of whole streams.
 
    The compiled artefact is split in two:
 
@@ -28,8 +34,8 @@
        number of domains — parallel sweeps share the memoised plan
        instead of recompiling a private one per job.
      - {!Run_state.t} holds every mutable word a run touches: register
-       files (seeded from the plan's constant pools), ring buffers,
-       neighbourhood scratch.  States are cheap to allocate, reusable
+       files (seeded from the plan's constant pools), stream buffers,
+       stage cursors, neighbourhood scratch.  States are cheap to allocate, reusable
        across runs, and cached per (domain, plan) so repeated runs on
        the same worker reuse one allocation ({!run}).
 
@@ -45,74 +51,90 @@ open Shmls_dialects
 (* ------------------------------------------------------------------ *)
 (* Ring buffers *)
 
-(* Each stream has exactly one producer stage, and stages run to
-   completion in topological order, so a ring is fully pushed (while
-   [rg_head = 0]) before its consumer pops anything: the data never
-   wraps.  That invariant lets the hot paths below index [rg_data]
-   directly — pushes land at [rg_head + rg_len], pops read at
-   [rg_head] — with no modulo arithmetic anywhere. *)
-type ring = {
-  rg_stream : int; (* SSA stream id, for error messages *)
-  rg_width : int; (* floats per token (1 = scalar stream) *)
-  mutable rg_data : float array;
-  mutable rg_head : int; (* index of the first queued float *)
-  mutable rg_len : int; (* queued floats *)
+(* A buffer holds the live window of one stream's tokens; every stream
+   reads it through its own view ([ring]) with a private head.  A [Dup]
+   stage does not copy: its output streams are extra views on the
+   input's buffer, so each buffer has one producer and one or more
+   readers.  Indices are plain array indices (no modulo): pushes land at
+   [b_len], a view's queued floats are [b_data.(rg_head .. b_len - 1)].
+   When a push does not fit, the buffer first drops everything behind
+   its slowest reader and only then grows, so capacity settles at what
+   the readers still need — a chunk plus the stream's lag — instead of
+   the whole stream. *)
+type buf = {
+  mutable b_data : float array;
+  mutable b_base : int; (* absolute float position of [b_data.(0)] *)
+  mutable b_len : int; (* floats held *)
+  mutable b_closed : bool; (* the producer has finished *)
+  mutable b_readers : ring array; (* every view on this buffer *)
 }
 
-let ring_create ~stream ~width =
+and ring = {
+  rg_stream : int; (* SSA stream id, for error messages *)
+  rg_width : int; (* floats per token (1 = scalar stream) *)
+  rg_buf : buf;
+  mutable rg_head : int; (* index of this view's next float in [b_data] *)
+}
+
+let buf_create width =
   {
-    rg_stream = stream;
-    rg_width = max 1 width;
-    rg_data = Array.make (256 * max 1 width) 0.0;
-    rg_head = 0;
-    rg_len = 0;
+    b_data = Array.make (256 * width) 0.0;
+    b_base = 0;
+    b_len = 0;
+    b_closed = false;
+    b_readers = [||];
   }
 
-let ring_reset r =
-  r.rg_head <- 0;
-  r.rg_len <- 0
+(* Floats queued for this view. *)
+let[@inline] ring_len r = r.rg_buf.b_len - r.rg_head
+let ring_tokens r = ring_len r / r.rg_width
 
-let ring_tokens r = r.rg_len / r.rg_width
-
-(* Make room for [extra] more floats, compacting to [rg_head = 0]. *)
-let ring_reserve r extra =
-  let needed = r.rg_head + r.rg_len + extra in
-  if needed > Array.length r.rg_data then begin
-    let cap = ref (2 * Array.length r.rg_data) in
-    while !cap < r.rg_len + extra do
+(* Make room for [extra] more floats at [b_len]: drop what every reader
+   has passed, then grow (doubling) only if the live window still does
+   not fit. *)
+let buf_reserve b extra =
+  if b.b_len + extra > Array.length b.b_data then begin
+    let lo = ref b.b_len in
+    Array.iter (fun r -> if r.rg_head < !lo then lo := r.rg_head) b.b_readers;
+    let lo = !lo in
+    let live = b.b_len - lo in
+    let cap = ref (Array.length b.b_data) in
+    while !cap < live + extra do
       cap := 2 * !cap
     done;
-    let data = Array.make !cap 0.0 in
-    Array.blit r.rg_data r.rg_head data 0 r.rg_len;
-    r.rg_data <- data;
-    r.rg_head <- 0
+    let data =
+      if !cap > Array.length b.b_data then Array.make !cap 0.0 else b.b_data
+    in
+    Array.blit b.b_data lo data 0 live;
+    b.b_data <- data;
+    b.b_base <- b.b_base + lo;
+    b.b_len <- live;
+    Array.iter (fun r -> r.rg_head <- r.rg_head - lo) b.b_readers
   end
 
 let ring_push r v =
-  if r.rg_head + r.rg_len >= Array.length r.rg_data then ring_reserve r 1;
-  Array.unsafe_set r.rg_data (r.rg_head + r.rg_len) v;
-  r.rg_len <- r.rg_len + 1
+  let b = r.rg_buf in
+  if b.b_len >= Array.length b.b_data then buf_reserve b 1;
+  Array.unsafe_set b.b_data b.b_len v;
+  b.b_len <- b.b_len + 1
 
 (* Append [n] floats from [src.(srcoff ..)] in one blit. *)
 let ring_push_blit r src srcoff n =
-  ring_reserve r n;
-  Array.blit src srcoff r.rg_data (r.rg_head + r.rg_len) n;
-  r.rg_len <- r.rg_len + n
+  let b = r.rg_buf in
+  buf_reserve b n;
+  Array.blit src srcoff b.b_data b.b_len n;
+  b.b_len <- b.b_len + n
 
 let starved loc = Err.raise_error ~loc "functional sim: read from empty stream"
-
-(* Fail like a starved pop unless [n] floats are queued — used by the
-   bulk stage loops below, which then index [rg_data] directly. *)
-let ring_require ?(loc = Loc.unknown) r n = if r.rg_len < n then starved loc
-
-let ring_drop r n =
-  r.rg_head <- r.rg_head + n;
-  r.rg_len <- r.rg_len - n
 
 (* ------------------------------------------------------------------ *)
 (* Per-run state: every mutable word a run touches lives here *)
 
 let batch_width = 64
+
+(* Tokens a [Load] stage pushes per sweep of the schedule (see
+   "Execution"): the granularity at which the whole design streams. *)
+let chunk_tokens = 2048
 
 type run_state = {
   mutable rs_args : Functional.value array;
@@ -121,6 +143,7 @@ type run_state = {
   rs_pbase : float array array;
   rs_poff : int array;
   rs_vecs : float array array; (* neighbourhood scratch, one per KV slot *)
+  rs_bufs : buf array; (* one per stream, except dup outputs *)
   rs_rings : ring array; (* plan ring-descriptor order (ascending id) *)
   (* Column files.  A batched compute loop processes the stream in
      blocks of up to [batch_width] elements: every in-loop SSA value
@@ -131,6 +154,10 @@ type run_state = {
   rs_pcols_base : float array array; (* pointer columns: shared base ... *)
   rs_pcols_off : int array array; (* ... plus a per-lane offset column *)
   rs_vbase : int array; (* per KV slot: ring base of the current block *)
+  (* Schedule state: where every stage stands between sweeps. *)
+  rs_cursors : int array; (* stage cursors: tokens, rows, pcs, loop ivs *)
+  rs_done : bool array; (* per stage *)
+  rs_failed : (exn * Printexc.raw_backtrace) option array; (* per stage *)
 }
 
 module Run_state = struct
@@ -203,7 +230,12 @@ let rec alloc_op a (op : Ir.op) =
 (* ------------------------------------------------------------------ *)
 (* Plans *)
 
-type ring_desc = { rd_stream : int; rd_width : int }
+(* [rd_buf] is the buffer the stream's view reads: its own, or for a
+   dup output the buffer of the dup's input. *)
+type ring_desc = { rd_stream : int; rd_width : int; rd_buf : int }
+
+(* A buffer with no producing stage starts closed (and empty). *)
+type buf_desc = { bd_width : int; bd_closed0 : bool }
 
 type stats = {
   cs_fregs : int;
@@ -212,7 +244,17 @@ type stats = {
   cs_vregs : int;
   cs_steps : int; (* compiled step closures across all stages *)
   cs_folded : int; (* constants folded into the pools at compile time *)
-  cs_batched : int; (* compute loops compiled to whole-stream batches *)
+  cs_batched : int; (* compute loops compiled to batched blocks *)
+}
+
+(* One stage of the schedule.  [sp_step] advances the stage as far as
+   its input buffers allow and returns [true] once it has finished; the
+   schedule then closes [sp_closes].  The stage does not start before
+   every stage in [sp_deps] has finished. *)
+type stage_plan = {
+  sp_step : run_state -> bool;
+  sp_closes : int array; (* buffers this stage produces *)
+  sp_deps : int array; (* earlier stages, by index *)
 }
 
 (* The immutable plan: nothing in here is written after [compile]
@@ -222,6 +264,7 @@ type t = {
   pl_id : int; (* plan identity, keys the per-domain state cache *)
   pl_design : Design.t;
   pl_ring_descs : ring_desc array; (* ascending stream id, drain order *)
+  pl_buf_descs : buf_desc array;
   pl_const_f : float array; (* constant pool: initial float registers *)
   pl_const_i : int array; (* constant pool: initial int registers *)
   pl_np : int;
@@ -229,8 +272,9 @@ type t = {
   pl_n_fcols : int; (* batched column-file sizes *)
   pl_n_icols : int;
   pl_n_pcols : int;
+  pl_n_cursors : int;
   pl_bind : Functional.value array -> run_state -> unit;
-  pl_steps : (run_state -> unit) array; (* stages, in topological order *)
+  pl_stages : stage_plan array; (* in topological order *)
   pl_stats : stats;
 }
 
@@ -242,8 +286,32 @@ let state_count () = Atomic.get state_counter
 let reset_state_count () = Atomic.set state_counter 0
 let stats t = t.pl_stats
 
+let ring_capacity rs =
+  Array.fold_left (fun acc b -> acc + Array.length b.b_data) 0 rs.rs_bufs
+
 let create_state (t : t) : run_state =
   Atomic.incr state_counter;
+  let bufs = Array.map (fun bd -> buf_create bd.bd_width) t.pl_buf_descs in
+  let rings =
+    Array.map
+      (fun rd ->
+        {
+          rg_stream = rd.rd_stream;
+          rg_width = rd.rd_width;
+          rg_buf = bufs.(rd.rd_buf);
+          rg_head = 0;
+        })
+      t.pl_ring_descs
+  in
+  Array.iteri
+    (fun bi b ->
+      b.b_readers <-
+        Array.of_list
+          (List.filteri
+             (fun ri _ -> t.pl_ring_descs.(ri).rd_buf = bi)
+             (Array.to_list rings)))
+    bufs;
+  let n_stages = Array.length t.pl_stages in
   {
     rs_args = [||];
     rs_fregs = Array.copy t.pl_const_f;
@@ -251,15 +319,16 @@ let create_state (t : t) : run_state =
     rs_pbase = Array.make (max 1 t.pl_np) [||];
     rs_poff = Array.make (max 1 t.pl_np) 0;
     rs_vecs = Array.map (fun w -> Array.make w 0.0) t.pl_vec_widths;
-    rs_rings =
-      Array.map
-        (fun rd -> ring_create ~stream:rd.rd_stream ~width:rd.rd_width)
-        t.pl_ring_descs;
+    rs_bufs = bufs;
+    rs_rings = rings;
     rs_fcols = Array.init t.pl_n_fcols (fun _ -> Array.make batch_width 0.0);
     rs_icols = Array.init t.pl_n_icols (fun _ -> Array.make batch_width 0);
     rs_pcols_base = Array.make t.pl_n_pcols [||];
     rs_pcols_off = Array.init t.pl_n_pcols (fun _ -> Array.make batch_width 0);
     rs_vbase = Array.make (max 1 (Array.length t.pl_vec_widths)) 0;
+    rs_cursors = Array.make (max 1 t.pl_n_cursors) 0;
+    rs_done = Array.make n_stages false;
+    rs_failed = Array.make n_stages None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -279,6 +348,7 @@ type cctx = {
   mutable nic : int;
   mutable npc : int;
   mutable batched_loops : int;
+  mutable ncur : int; (* schedule cursor slots *)
 }
 
 let slot_exn c v =
@@ -354,6 +424,11 @@ let new_icol c =
   c.nic <- i + 1;
   i
 
+let new_cursor c =
+  let i = c.ncur in
+  c.ncur <- i + 1;
+  i
+
 let new_pcol c =
   let i = c.npc in
   c.npc <- i + 1;
@@ -387,7 +462,7 @@ let bfsrc c preps v =
     preps :=
       (fun rs n ->
         let r = Array.unsafe_get rs.rs_rings ri in
-        let src = r.rg_data in
+        let src = r.rg_buf.b_data in
         let b0 = Array.unsafe_get rs.rs_vbase s + lane in
         let fd = Array.unsafe_get rs.rs_fcols d in
         let p = ref b0 in
@@ -551,7 +626,7 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
             (f2_apply k (ga rs) (gb rs))
       | XStr (ria, sa, wa, la), XCol b ->
         fun rs n ->
-          let sa_ = (Array.unsafe_get rs.rs_rings ria).rg_data in
+          let sa_ = (Array.unsafe_get rs.rs_rings ria).rg_buf.b_data in
           let pa = ref (Array.unsafe_get rs.rs_vbase sa + la) in
           let fb = Array.unsafe_get rs.rs_fcols b
           and fd = Array.unsafe_get rs.rs_fcols d in
@@ -562,7 +637,7 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
           done
       | XCol a, XStr (rib, sb, wb, lb) ->
         fun rs n ->
-          let sb_ = (Array.unsafe_get rs.rs_rings rib).rg_data in
+          let sb_ = (Array.unsafe_get rs.rs_rings rib).rg_buf.b_data in
           let pb = ref (Array.unsafe_get rs.rs_vbase sb + lb) in
           let fa = Array.unsafe_get rs.rs_fcols a
           and fd = Array.unsafe_get rs.rs_fcols d in
@@ -573,7 +648,7 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
           done
       | XStr (ria, sa, wa, la), XInv gb ->
         fun rs n ->
-          let sa_ = (Array.unsafe_get rs.rs_rings ria).rg_data in
+          let sa_ = (Array.unsafe_get rs.rs_rings ria).rg_buf.b_data in
           let pa = ref (Array.unsafe_get rs.rs_vbase sa + la) in
           let fd = Array.unsafe_get rs.rs_fcols d in
           let b = gb rs in
@@ -583,7 +658,7 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
           done
       | XInv ga, XStr (rib, sb, wb, lb) ->
         fun rs n ->
-          let sb_ = (Array.unsafe_get rs.rs_rings rib).rg_data in
+          let sb_ = (Array.unsafe_get rs.rs_rings rib).rg_buf.b_data in
           let pb = ref (Array.unsafe_get rs.rs_vbase sb + lb) in
           let fd = Array.unsafe_get rs.rs_fcols d in
           let a = ga rs in
@@ -593,9 +668,9 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
           done
       | XStr (ria, sa, wa, la), XStr (rib, sb, wb, lb) ->
         fun rs n ->
-          let sa_ = (Array.unsafe_get rs.rs_rings ria).rg_data in
+          let sa_ = (Array.unsafe_get rs.rs_rings ria).rg_buf.b_data in
           let pa = ref (Array.unsafe_get rs.rs_vbase sa + la) in
-          let sb_ = (Array.unsafe_get rs.rs_rings rib).rg_data in
+          let sb_ = (Array.unsafe_get rs.rs_rings rib).rg_buf.b_data in
           let pb = ref (Array.unsafe_get rs.rs_vbase sb + lb) in
           let fd = Array.unsafe_get rs.rs_fcols d in
           for j = 0 to n - 1 do
@@ -926,9 +1001,8 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
       finish (fun rs n ->
           (* the block driver checked availability up front *)
           let r = Array.unsafe_get rs.rs_rings ri in
-          Array.blit r.rg_data r.rg_head (Array.unsafe_get rs.rs_fcols d) 0 n;
-          r.rg_head <- r.rg_head + n;
-          r.rg_len <- r.rg_len - n)
+          Array.blit r.rg_buf.b_data r.rg_head (Array.unsafe_get rs.rs_fcols d) 0 n;
+          r.rg_head <- r.rg_head + n)
     | KV s ->
       let w = c.vec_w.(s) in
       reads := (ri, w) :: !reads;
@@ -939,8 +1013,7 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
       finish (fun rs n ->
           let r = Array.unsafe_get rs.rs_rings ri in
           Array.unsafe_set rs.rs_vbase s r.rg_head;
-          r.rg_head <- r.rg_head + (n * w);
-          r.rg_len <- r.rg_len - (n * w))
+          r.rg_head <- r.rg_head + (n * w))
     | _ -> raise Not_batchable)
   | "llvm.extractvalue" -> (
     match
@@ -974,10 +1047,10 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
             0 n)
     | FInv g ->
       finish (fun rs n ->
-          let r = Array.unsafe_get rs.rs_rings ri in
-          ring_reserve r n;
-          Array.fill r.rg_data (r.rg_head + r.rg_len) n (g rs);
-          r.rg_len <- r.rg_len + n))
+          let b = (Array.unsafe_get rs.rs_rings ri).rg_buf in
+          buf_reserve b n;
+          Array.fill b.b_data b.b_len n (g rs);
+          b.b_len <- b.b_len + n))
   | "llvm.getelementptr" -> (
     let s = bpsrc c (Ir.Op.operand op 0) in
     let d = bind_pcol c (Ir.Op.result op 0) in
@@ -1090,12 +1163,16 @@ let compile_bop c ~reads ~writes (op : Ir.op) :
     | PCol _, _ -> raise Not_batchable)
   | _ -> raise Not_batchable
 
-(* Attempt to batch one top-level [scf.for] of a compute stage.
-   [scalar_body]/[iv_slot] are the per-element compilation of the same
-   loop: the fallback when the body is not batchable, and the exact
-   replay path when a block's input rings are starved (so the raised
-   error — message, [Loc], which read fires first — matches the
-   interpreter). *)
+(* Attempt to batch one [scf.for] of a compute stage.  The batched loop
+   is resumable: [start] sets its induction variable (kept in a cursor
+   slot, so the loop can stop between blocks and pick up on the next
+   sweep), [resume] runs blocks while every read ring holds a full
+   block and returns [true] once the loop is done.  A short block
+   yields while any of its read rings is still open; once all are
+   closed, the remainder runs through [scalar_body]/[iv_slot] — the
+   per-element compilation of the same loop — so a starved read raises
+   exactly the interpreter's error (message, [Loc], which read fires
+   first). *)
 let compile_for_batched c op ~lb ~ub ~step ~iv_slot ~scalar_body =
   let block = Ir.Region.entry (List.hd (Ir.Op.regions op)) in
   let iv =
@@ -1124,41 +1201,54 @@ let compile_for_batched c op ~lb ~ub ~step ~iv_slot ~scalar_body =
     let reads = Array.of_list (List.rev !reads) in
     let nreads = Array.length reads in
     let nscal = Array.length scalar_body in
-    Some
-      (fun rs ->
-        let ir = rs.rs_iregs in
-        let ub = Array.unsafe_get ir ub and st = Array.unsafe_get ir step in
-        let ivcol = Array.unsafe_get rs.rs_icols ivc in
-        let i = ref (Array.unsafe_get ir lb) in
-        while !i < ub do
-          let rem = (ub - !i + st - 1) / st in
-          let n = if rem < batch_width then rem else batch_width in
-          let enough = ref true in
-          for k = 0 to nreads - 1 do
-            let ri, w = Array.unsafe_get reads k in
-            if (Array.unsafe_get rs.rs_rings ri).rg_len < n * w then
-              enough := false
-          done;
-          if !enough then begin
-            for j = 0 to n - 1 do
-              Array.unsafe_set ivcol j (!i + (j * st))
-            done;
-            for k = 0 to nb - 1 do
-              (Array.unsafe_get bsteps k) rs n
-            done;
-            i := !i + (n * st)
+    let i_slot = new_cursor c in
+    let start rs =
+      Array.unsafe_set rs.rs_cursors i_slot (Array.unsafe_get rs.rs_iregs lb)
+    in
+    let resume rs =
+      let ir = rs.rs_iregs in
+      let ub = Array.unsafe_get ir ub and st = Array.unsafe_get ir step in
+      let ivcol = Array.unsafe_get rs.rs_icols ivc in
+      let i = ref (Array.unsafe_get rs.rs_cursors i_slot) in
+      let yielded = ref false in
+      while (not !yielded) && !i < ub do
+        let rem = (ub - !i + st - 1) / st in
+        let n = if rem < batch_width then rem else batch_width in
+        let enough = ref true and open_ = ref false in
+        for k = 0 to nreads - 1 do
+          let ri, w = Array.unsafe_get reads k in
+          let r = Array.unsafe_get rs.rs_rings ri in
+          if ring_len r < n * w then begin
+            enough := false;
+            if not r.rg_buf.b_closed then open_ := true
           end
-          else
-            (* a starved block: replay the remainder per-element so the
-               error surfaces exactly like the interpreter *)
-            while !i < ub do
-              Array.unsafe_set ir iv_slot !i;
-              for k = 0 to nscal - 1 do
-                (Array.unsafe_get scalar_body k) rs
-              done;
-              i := !i + st
-            done
-        done)
+        done;
+        if !enough then begin
+          for j = 0 to n - 1 do
+            Array.unsafe_set ivcol j (!i + (j * st))
+          done;
+          for k = 0 to nb - 1 do
+            (Array.unsafe_get bsteps k) rs n
+          done;
+          i := !i + (n * st)
+        end
+        else if !open_ then yielded := true
+        else
+          (* a starved block with every input closed: replay the
+             remainder per element so the error surfaces exactly like
+             the interpreter *)
+          while !i < ub do
+            Array.unsafe_set ir iv_slot !i;
+            for k = 0 to nscal - 1 do
+              (Array.unsafe_get scalar_body k) rs
+            done;
+            i := !i + st
+          done
+      done;
+      Array.unsafe_set rs.rs_cursors i_slot !i;
+      not !yielded
+    in
+    Some (start, resume)
 
 (* Compile one region op into an optional step closure over the run
    state.  Constants are folded straight into the plan's constant pools
@@ -1264,19 +1354,17 @@ let rec compile_op c (op : Ir.op) : (run_state -> unit) option =
       Some
         (fun rs ->
           let r = Array.unsafe_get rs.rs_rings ri in
-          if r.rg_len = 0 then starved loc;
-          Array.unsafe_set rs.rs_fregs d (Array.unsafe_get r.rg_data r.rg_head);
-          r.rg_head <- r.rg_head + 1;
-          r.rg_len <- r.rg_len - 1)
+          if ring_len r < 1 then starved loc;
+          Array.unsafe_set rs.rs_fregs d (Array.unsafe_get r.rg_buf.b_data r.rg_head);
+          r.rg_head <- r.rg_head + 1)
     | KV d ->
       let w = c.vec_w.(d) in
       Some
         (fun rs ->
           let r = Array.unsafe_get rs.rs_rings ri in
-          if r.rg_len < w then starved loc;
-          Array.blit r.rg_data r.rg_head rs.rs_vecs.(d) 0 w;
-          r.rg_head <- r.rg_head + w;
-          r.rg_len <- r.rg_len - w)
+          if ring_len r < w then starved loc;
+          Array.blit r.rg_buf.b_data r.rg_head rs.rs_vecs.(d) 0 w;
+          r.rg_head <- r.rg_head + w)
     | _ -> Err.raise_error "functional sim: bad hls.read result")
   | "hls.write" -> (
     let ri = ring_idx c (Ir.Op.operand op 1) in
@@ -1361,36 +1449,48 @@ let rec compile_op c (op : Ir.op) : (run_state -> unit) option =
     let i = islot c (Ir.Op.operand op 2) in
     Some
       (fun rs -> (Array.unsafe_get rs.rs_pbase m).(rs.rs_iregs.(i)) <- g rs)
-  | "scf.for" ->
-    let lb = islot c (Ir.Op.operand op 0) in
-    let ub = islot c (Ir.Op.operand op 1) in
-    let step = islot c (Ir.Op.operand op 2) in
-    let block = Ir.Region.entry (List.hd (Ir.Op.regions op)) in
-    let iv =
-      match Ir.Block.args block with
-      | a :: _ -> islot c a
-      | [] -> Err.raise_error "functional sim: scf.for without args"
-    in
-    let body = compile_block c block in
-    let nbody = Array.length body in
-    let scalar_step rs =
-      let ir = rs.rs_iregs in
-      let ub = ir.(ub) and step = ir.(step) in
-      let i = ref ir.(lb) in
-      while !i < ub do
-        Array.unsafe_set ir iv !i;
-        for k = 0 to nbody - 1 do
-          (Array.unsafe_get body k) rs
-        done;
-        i := !i + step
-      done
-    in
-    Some
-      (Option.value ~default:scalar_step
-         (compile_for_batched c op ~lb ~ub ~step ~iv_slot:iv
-            ~scalar_body:body))
+  | "scf.for" -> (
+    match compile_loop c op with
+    | `Scalar f -> Some f
+    | `Batched (start, resume) ->
+      (* a nested loop runs whole: it only ever runs on closed inputs
+         or reads no stream at all, so [resume] always finishes *)
+      Some
+        (fun rs ->
+          start rs;
+          ignore (resume rs)))
   | "scf.yield" -> None
   | name -> Err.raise_error "functional sim: unsupported op %s" name
+
+(* An [scf.for], batched when its body allows (resumable, see
+   [compile_for_batched]), per element otherwise. *)
+and compile_loop c op =
+  let lb = islot c (Ir.Op.operand op 0) in
+  let ub = islot c (Ir.Op.operand op 1) in
+  let step = islot c (Ir.Op.operand op 2) in
+  let block = Ir.Region.entry (List.hd (Ir.Op.regions op)) in
+  let iv =
+    match Ir.Block.args block with
+    | a :: _ -> islot c a
+    | [] -> Err.raise_error "functional sim: scf.for without args"
+  in
+  let body = compile_block c block in
+  match compile_for_batched c op ~lb ~ub ~step ~iv_slot:iv ~scalar_body:body with
+  | Some sr -> `Batched sr
+  | None ->
+    let nbody = Array.length body in
+    `Scalar
+      (fun rs ->
+        let ir = rs.rs_iregs in
+        let ub = ir.(ub) and step = ir.(step) in
+        let i = ref ir.(lb) in
+        while !i < ub do
+          Array.unsafe_set ir iv !i;
+          for k = 0 to nbody - 1 do
+            (Array.unsafe_get body k) rs
+          done;
+          i := !i + step
+        done)
 
 and compile_block c block =
   Ir.Block.ops block
@@ -1398,61 +1498,63 @@ and compile_block c block =
   |> Array.of_list
 
 (* ------------------------------------------------------------------ *)
-(* Structural stages (the native runtime: load_data, shift_buffer,
-   duplicate, write_data on ring buffers) *)
+(* Stages.  Each compiles to a resumable step (see [stage_plan]) whose
+   cursors live in [rs_cursors]: the structural ones are the native
+   runtime of load_data, shift_buffer, duplicate and write_data. *)
 
 let design_ring_idx ring_index id =
   match Hashtbl.find_opt ring_index id with
   | Some i -> i
   | None -> Err.raise_error "design: unknown stream %d" id
 
-let compile_load ring_index (d : Design.t) ~out_streams ~ptr_args =
+let ptr_arg rs argi what =
+  match rs.rs_args.(argi) with
+  | Functional.Ptr (a, 0) -> a
+  | _ -> Err.raise_error "functional sim: %s arg is not a pointer" what
+
+(* Load: [chunk_tokens] more tokens on every output stream per sweep.
+   Its cursor (tokens pushed) is returned too: a [Write] to the same
+   array is gated on it. *)
+let compile_load c ring_index (d : Design.t) ~out_streams ~ptr_args =
   let total = Design.total_padded d in
   let pairs =
     List.map2
       (fun s argi -> (design_ring_idx ring_index s, argi))
       out_streams ptr_args
   in
-  fun rs ->
+  let cur = new_cursor c in
+  let step rs =
+    let p = rs.rs_cursors.(cur) in
+    let n = min chunk_tokens (total - p) in
     List.iter
       (fun (ri, argi) ->
-        let data =
-          match rs.rs_args.(argi) with
-          | Functional.Ptr (a, 0) -> a
-          | _ -> Err.raise_error "functional sim: load_data arg is not a pointer"
-        in
-        ring_push_blit rs.rs_rings.(ri) data 0 total)
-      pairs
-
-(* Batched dup: zero-copy.  Each output stream has exactly one producer
-   (this dup) and its consumers only ever read, while the input stream
-   is fully produced before the dup runs (topological stage order) and
-   never pushed again afterwards — so the "copies" can alias the input
-   ring's buffer, each with its own head/length.  Bit-identical token
-   sequences, none of the memory traffic. *)
-let compile_dup_batched ring_index ~input ~outputs =
-  let in_ri = design_ring_idx ring_index input in
-  let out_ris =
-    List.map (design_ring_idx ring_index) outputs |> Array.of_list
+        ring_push_blit rs.rs_rings.(ri) (ptr_arg rs argi "load_data") p n)
+      pairs;
+    rs.rs_cursors.(cur) <- p + n;
+    p + n >= total
   in
-  let nout = Array.length out_ris in
-  fun rs ->
-    let inring = Array.unsafe_get rs.rs_rings in_ri in
-    let n = inring.rg_len in
-    for k = 0 to nout - 1 do
-      let r = Array.unsafe_get rs.rs_rings (Array.unsafe_get out_ris k) in
-      r.rg_data <- inring.rg_data;
-      r.rg_head <- inring.rg_head;
-      r.rg_len <- n
-    done;
-    ring_drop inring n
+  (step, cur)
 
-(* Batched shift: same geometry as the interpreter's shift buffer,
-   but the inner dimension of every fully-interior row is branch-free — all
-   neighbourhood offsets are provably in range there, so the loop is a
-   strided copy with the per-point bounds checks hoisted to the row's
-   halo edges (and to non-interior rows). *)
-let compile_shift_batched ring_index ~input ~output ~halo ~extent =
+(* Dup: no data moves.  The output streams are views on the input's
+   buffer (see [compile]), each with its own head, so the buffer keeps
+   what the slowest consumer still needs; the dup itself only marks the
+   input consumed, as the interpreter's dup drains it. *)
+let compile_dup ring_index ~input =
+  let in_ri = design_ring_idx ring_index input in
+  fun rs ->
+    let r = rs.rs_rings.(in_ri) in
+    r.rg_head <- r.rg_buf.b_len;
+    r.rg_buf.b_closed
+
+(* Shift: same geometry as the interpreter's shift buffer, emitted a
+   row at a time.  A row goes out once the input reaches its end plus
+   the lookahead (or the input is closed), and the head stays
+   [lookahead] tokens behind the next row so every neighbour is still
+   in the buffer.  The inner dimension of every fully-interior row is
+   branch-free — all neighbourhood offsets are provably in range there,
+   so the loop is a strided copy with the per-point bounds checks
+   hoisted to the row's halo edges (and to non-interior rows). *)
+let compile_shift c ring_index ~input ~output ~halo ~extent =
   let ext, strides, total = Functional.stage_geometry extent in
   let rank = Array.length ext in
   let in_ri = design_ring_idx ring_index input in
@@ -1468,6 +1570,7 @@ let compile_shift_batched ring_index ~input ~output ~halo ~extent =
         !s)
       offsets
   in
+  let lookahead = Design.shift_lookahead ~halo ~extent in
   let nb_n = Array.length offsets in
   let hal = Array.of_list halo in
   let inner = ext.(rank - 1) in
@@ -1477,98 +1580,124 @@ let compile_shift_batched ring_index ~input ~output ~halo ~extent =
   let ihi = max ilo (inner - h_in) in
   let nrows = total / inner in
   let off_inner = Array.map (fun off -> off.(rank - 1)) offsets in
+  let row_cur = new_cursor c in
+  (* the outer odometer: position of the next row in dims [0, rank-1) *)
+  let npos = max 1 (rank - 1) in
+  let pos_cur = c.ncur in
+  c.ncur <- c.ncur + npos;
   fun rs ->
     let inring = Array.unsafe_get rs.rs_rings in_ri in
     let outring = Array.unsafe_get rs.rs_rings out_ri in
     if inring.rg_width <> 1 then
       Err.raise_error "functional sim: shift input must be scalar";
-    ring_require inring total;
-    ring_reserve outring (total * nb_n);
-    let src = inring.rg_data and h = inring.rg_head in
-    let out = outring.rg_data in
-    let ob0 = outring.rg_head + outring.rg_len in
-    (* pos is the outer odometer (inner coordinate handled separately);
-       okmask.(k) caches, per row, whether offset k stays in range in
-       every outer dimension — the per-point edge path then only checks
-       the inner dimension.  Both are per-call scratch (a few words), so
-       the closure stays safe to run concurrently from several states. *)
-    let pos = Array.make (max 1 (rank - 1)) 0 in
-    let okmask = Array.make nb_n true in
-    let per_point base j0 j1 =
-      for j = j0 to j1 - 1 do
-        let i = base + j in
-        let ob = ob0 + (i * nb_n) in
-        for k = 0 to nb_n - 1 do
-          let p = j + Array.unsafe_get off_inner k in
-          Array.unsafe_set out (ob + k)
-            (if Array.unsafe_get okmask k && p >= 0 && p < inner then
-               Array.unsafe_get src (h + i + Array.unsafe_get deltas k)
-             else Float.nan)
-        done
-      done
+    let inb = inring.rg_buf in
+    let tail = inb.b_base + inb.b_len in
+    if inb.b_closed && tail < total then starved Loc.unknown;
+    let cur = rs.rs_cursors in
+    let row0 = cur.(row_cur) in
+    let row1 =
+      if tail >= total then nrows
+      else if tail < lookahead then row0
+      else max row0 ((tail - lookahead) / inner)
     in
-    for row = 0 to nrows - 1 do
-      let base = row * inner in
-      let interior_row = ref true in
-      for d = 0 to rank - 2 do
-        if pos.(d) < hal.(d) || pos.(d) >= ext.(d) - hal.(d) then
-          interior_row := false
-      done;
-      if !interior_row && ihi > ilo then begin
-        (* every offset is outer-valid on an interior row *)
-        Array.fill okmask 0 nb_n true;
-        per_point base 0 ilo;
-        for j = ilo to ihi - 1 do
-          let ob = ob0 + ((base + j) * nb_n) in
-          let sb = h + base + j in
+    if row1 > row0 then begin
+      let nout = (row1 - row0) * inner * nb_n in
+      let outb = outring.rg_buf in
+      buf_reserve outb nout;
+      let src = inb.b_data and h = -inb.b_base in
+      let out = outb.b_data in
+      let ob0 = outb.b_len - (row0 * inner * nb_n) in
+      (* okmask.(k) caches, per row, whether offset k stays in range in
+         every outer dimension — the per-point edge path then only
+         checks the inner dimension.  Both it and [pos] are per-call
+         scratch (a few words), so the closure stays safe to run
+         concurrently from several states. *)
+      let pos = Array.sub cur pos_cur npos in
+      let okmask = Array.make nb_n true in
+      let per_point base j0 j1 =
+        for j = j0 to j1 - 1 do
+          let i = base + j in
+          let ob = ob0 + (i * nb_n) in
           for k = 0 to nb_n - 1 do
+            let p = j + Array.unsafe_get off_inner k in
             Array.unsafe_set out (ob + k)
-              (Array.unsafe_get src (sb + Array.unsafe_get deltas k))
+              (if Array.unsafe_get okmask k && p >= 0 && p < inner then
+                 Array.unsafe_get src (h + i + Array.unsafe_get deltas k)
+               else Float.nan)
           done
+        done
+      in
+      for row = row0 to row1 - 1 do
+        let base = row * inner in
+        let interior_row = ref true in
+        for d = 0 to rank - 2 do
+          if pos.(d) < hal.(d) || pos.(d) >= ext.(d) - hal.(d) then
+            interior_row := false
         done;
-        per_point base ihi inner
-      end
-      else begin
-        for k = 0 to nb_n - 1 do
-          let off = Array.unsafe_get offsets k in
-          let ok = ref true in
-          for d = 0 to rank - 2 do
-            let p = Array.unsafe_get pos d + Array.unsafe_get off d in
-            if p < 0 || p >= Array.unsafe_get ext d then ok := false
+        if !interior_row && ihi > ilo then begin
+          (* every offset is outer-valid on an interior row *)
+          Array.fill okmask 0 nb_n true;
+          per_point base 0 ilo;
+          for j = ilo to ihi - 1 do
+            let ob = ob0 + ((base + j) * nb_n) in
+            let sb = h + base + j in
+            for k = 0 to nb_n - 1 do
+              Array.unsafe_set out (ob + k)
+                (Array.unsafe_get src (sb + Array.unsafe_get deltas k))
+            done
           done;
-          Array.unsafe_set okmask k !ok
-        done;
-        per_point base 0 inner
-      end;
-      (* advance the outer odometer *)
-      let d = ref (rank - 2) in
-      let carry = ref true in
-      while !carry && !d >= 0 do
-        let p = pos.(!d) + 1 in
-        if p >= ext.(!d) then begin
-          pos.(!d) <- 0;
-          decr d
+          per_point base ihi inner
         end
         else begin
-          pos.(!d) <- p;
-          carry := false
-        end
-      done
-    done;
-    outring.rg_len <- outring.rg_len + (total * nb_n);
-    ring_drop inring total
+          for k = 0 to nb_n - 1 do
+            let off = Array.unsafe_get offsets k in
+            let ok = ref true in
+            for d = 0 to rank - 2 do
+              let p = Array.unsafe_get pos d + Array.unsafe_get off d in
+              if p < 0 || p >= Array.unsafe_get ext d then ok := false
+            done;
+            Array.unsafe_set okmask k !ok
+          done;
+          per_point base 0 inner
+        end;
+        (* advance the outer odometer *)
+        let d = ref (rank - 2) in
+        let carry = ref true in
+        while !carry && !d >= 0 do
+          let p = pos.(!d) + 1 in
+          if p >= ext.(!d) then begin
+            pos.(!d) <- 0;
+            decr d
+          end
+          else begin
+            pos.(!d) <- p;
+            carry := false
+          end
+        done
+      done;
+      Array.blit pos 0 cur pos_cur npos;
+      outb.b_len <- outb.b_len + nout;
+      cur.(row_cur) <- row1
+    end;
+    let keep =
+      if row1 = nrows then total else max 0 ((row1 * inner) - lookahead)
+    in
+    inring.rg_head <- keep - inb.b_base;
+    row1 = nrows
 
-(* Batched write: the interior of each interior row is one contiguous
-   run of linear indices, so the per-point gather becomes one
-   [Array.blit] per interior row (halo tokens are discarded by the
-   final bulk drop, exactly like the interpreter's discard-pop). *)
-let compile_write_batched ring_index ~in_streams ~ptr_args ~halo ~extent =
+(* Write: the interior of each interior row is one contiguous run of
+   linear indices, written with one [Array.blit] as soon as the run has
+   arrived (halo tokens are dropped as the head passes them, like the
+   interpreter's discard-pop).  A run is also held back until every
+   [gates] cursor — the loads of the same array — has passed it, so an
+   in-place field is never overwritten before it is loaded. *)
+let compile_write c ring_index ~in_streams ~ptr_args ~halo ~extent ~gates =
   let ext, _, total = Functional.stage_geometry extent in
   let hal = Array.of_list halo in
   let rank = Array.length ext in
   let pairs =
     List.map2
-      (fun s argi -> (design_ring_idx ring_index s, argi))
+      (fun s argi -> (design_ring_idx ring_index s, argi, new_cursor c))
       in_streams ptr_args
   in
   let inner = ext.(rank - 1) in
@@ -1602,23 +1731,106 @@ let compile_write_batched ring_index ~in_streams ~ptr_args ~halo ~extent =
   in
   let n_runs = Array.length runs in
   fun rs ->
-    List.iter
-      (fun (ri, argi) ->
+    let cur = rs.rs_cursors in
+    let limit = List.fold_left (fun m g -> min m cur.(g)) max_int gates in
+    List.fold_left
+      (fun finished (ri, argi, kc) ->
         let ring = rs.rs_rings.(ri) in
-        let data =
-          match rs.rs_args.(argi) with
-          | Functional.Ptr (a, 0) -> a
-          | _ ->
-            Err.raise_error "functional sim: write_data arg is not a pointer"
-        in
-        ring_require ring total;
-        let src = ring.rg_data and h = ring.rg_head in
-        for k = 0 to n_runs - 1 do
-          let s = Array.unsafe_get runs k in
-          Array.blit src (h + s) data s run_len
+        let data = ptr_arg rs argi "write_data" in
+        let b = ring.rg_buf in
+        let tail = b.b_base + b.b_len in
+        if b.b_closed && tail < total then starved Loc.unknown;
+        let upto = min tail limit in
+        let src = b.b_data and h = -b.b_base in
+        let k = ref cur.(kc) in
+        while !k < n_runs && Array.unsafe_get runs !k + run_len <= upto do
+          let s = Array.unsafe_get runs !k in
+          Array.blit src (h + s) data s run_len;
+          incr k
         done;
-        ring_drop ring total)
-      pairs
+        cur.(kc) <- !k;
+        let next = if !k < n_runs then runs.(!k) else total in
+        ring.rg_head <- min tail next - b.b_base;
+        finished && !k = n_runs && tail >= total)
+      true pairs
+
+(* Compute: the dataflow body's top-level ops run in order, resuming at
+   the saved one.  Batched loops resume block by block; a per-element
+   loop or top-level op that reads a stream waits until every stream
+   the stage reads is closed; anything else (constants, BRAM small
+   copies) runs as soon as it is reached. *)
+type cstep =
+  | Free of (run_state -> unit)
+  | Blocking of (run_state -> unit)
+  | Resumable of (run_state -> unit) * (run_state -> bool)
+
+let rec iter_nested f op =
+  f op;
+  List.iter
+    (fun r ->
+      List.iter
+        (fun b -> List.iter (iter_nested f) (Ir.Block.ops b))
+        (Ir.Region.blocks r))
+    (Ir.Op.regions op)
+
+let reads_stream op =
+  let r = ref false in
+  iter_nested (fun o -> if Ir.Op.name o = "hls.read" then r := true) op;
+  !r
+
+let compile_compute c (df_op : Ir.op) =
+  let read_rings = ref [] in
+  iter_nested
+    (fun o ->
+      if Ir.Op.name o = "hls.read" then
+        read_rings := ring_idx c (Ir.Op.operand o 0) :: !read_rings)
+    df_op;
+  let read_rings = Array.of_list (List.sort_uniq Int.compare !read_rings) in
+  let steps =
+    List.filter_map
+      (fun op ->
+        let plain f = if reads_stream op then Blocking f else Free f in
+        if Ir.Op.name op = "scf.for" then
+          match compile_loop c op with
+          | `Batched (start, resume) -> Some (Resumable (start, resume))
+          | `Scalar f -> Some (plain f)
+        else Option.map plain (compile_op c op))
+      (Ir.Block.ops (Hls.dataflow_body df_op))
+    |> Array.of_list
+  in
+  let n = Array.length steps in
+  let pc = new_cursor c and entered = new_cursor c in
+  let inputs_closed rs =
+    Array.for_all (fun ri -> rs.rs_rings.(ri).rg_buf.b_closed) read_rings
+  in
+  let rec go rs =
+    let cur = rs.rs_cursors in
+    let k = cur.(pc) in
+    let advance () =
+      cur.(pc) <- k + 1;
+      cur.(entered) <- 0;
+      go rs
+    in
+    if k >= n then true
+    else
+      match steps.(k) with
+      | Free f ->
+        f rs;
+        advance ()
+      | Blocking f ->
+        if inputs_closed rs then begin
+          f rs;
+          advance ()
+        end
+        else false
+      | Resumable (start, resume) ->
+        if cur.(entered) = 0 then begin
+          start rs;
+          cur.(entered) <- 1
+        end;
+        if resume rs then advance () else false
+  in
+  (go, n)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-design compilation *)
@@ -1633,16 +1845,66 @@ let plan_id_counter = Atomic.make 0
 
 let compile (d : Design.t) : t =
   Atomic.incr compile_counter;
+  let stages = Array.of_list d.d_stages in
+  (* stream wiring, as extraction emits it: one producer per stream and
+     at most one consumer (fan-out goes through a [Dup]), the producer
+     first in stage order *)
+  let producer = Hashtbl.create 32 in
+  Array.iteri
+    (fun i st ->
+      List.iter
+        (fun s ->
+          if Hashtbl.mem producer s then
+            Err.raise_error "stage compiler: stream %d has two producers" s;
+          Hashtbl.replace producer s i)
+        (Design.outputs_of_stage st))
+    stages;
+  let consumed = Hashtbl.create 32 in
+  Array.iteri
+    (fun i st ->
+      List.iter
+        (fun s ->
+          if Hashtbl.mem consumed s then
+            Err.raise_error "stage compiler: stream %d has two consumers" s;
+          Hashtbl.replace consumed s ();
+          match Hashtbl.find_opt producer s with
+          | Some p when p >= i ->
+            Err.raise_error "stage compiler: stream %d is read before it is written" s
+          | _ -> ())
+        (Design.inputs_of_stage st))
+    stages;
   (* ring descriptors: one per design stream, ascending stream id (the
-     drain check reports in that order, like the interpreter) *)
+     drain check reports in that order, like the interpreter).  A dup
+     output reads the buffer of the dup's input, transitively. *)
+  let rec root s =
+    match Hashtbl.find_opt producer s with
+    | Some p -> (
+      match stages.(p) with Design.Dup { input; _ } -> root input | _ -> s)
+    | None -> s
+  in
+  let buf_index = Hashtbl.create 32 and buf_descs = ref [] in
   let ring_descs =
     List.map
       (fun (s : Design.stream) ->
-        { rd_stream = s.Design.st_id; rd_width = max 1 (stream_width s) })
-      d.d_streams
-    |> List.sort (fun a b -> Int.compare a.rd_stream b.rd_stream)
+        let width = max 1 (stream_width s) and r = root s.st_id in
+        let b =
+          match Hashtbl.find_opt buf_index r with
+          | Some b -> b
+          | None ->
+            let b = Hashtbl.length buf_index in
+            Hashtbl.replace buf_index r b;
+            buf_descs :=
+              { bd_width = width; bd_closed0 = not (Hashtbl.mem producer r) }
+              :: !buf_descs;
+            b
+        in
+        { rd_stream = s.st_id; rd_width = width; rd_buf = b })
+      (List.sort
+         (fun (a : Design.stream) b -> Int.compare a.st_id b.st_id)
+         d.d_streams)
     |> Array.of_list
   in
+  let buf_descs = Array.of_list (List.rev !buf_descs) in
   let ring_index = Hashtbl.create 32 in
   Array.iteri
     (fun i rd -> Hashtbl.replace ring_index rd.rd_stream i)
@@ -1681,6 +1943,7 @@ let compile (d : Design.t) : t =
       nic = 0;
       npc = 0;
       batched_loops = 0;
+      ncur = 0;
     }
   in
   (* argument binding: resolve each kernel argument to its slot once *)
@@ -1720,35 +1983,87 @@ let compile (d : Design.t) : t =
     rs.rs_args <- args;
     List.iter (fun b -> b args rs) binders
   in
-  (* stage steps, in the design's topological order *)
+  (* Memory hazards between stages.  A [Load] and a later [Write] of
+     the same array stream against each other: the write is gated on
+     the load's cursor.  Any other pair touching one array where one of
+     them writes it (a fused compute reading a field the write stage
+     overwrites, two writes) keeps the whole-stream order: the later
+     stage waits until the earlier one has finished. *)
+  let arg_of = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace arg_of (Ir.Value.id v) i) func_args;
+  let accesses = function
+    | Design.Load l -> List.map (fun a -> (a, false)) l.ptr_args
+    | Design.Write w -> List.map (fun a -> (a, true)) w.ptr_args
+    | Design.Compute cc ->
+      let used = ref [] and stores = ref false in
+      iter_nested
+        (fun o ->
+          if Ir.Op.name o = "llvm.store" then stores := true;
+          List.iter
+            (fun v ->
+              match Hashtbl.find_opt arg_of (Ir.Value.id v) with
+              | Some a -> used := a :: !used
+              | None -> ())
+            (Ir.Op.operands o))
+        cc.df_op;
+      List.map (fun a -> (a, !stores)) (List.sort_uniq Int.compare !used)
+    | Design.Shift _ | Design.Dup _ -> []
+  in
+  let acc = Array.map accesses stages in
+  let conflicts i j =
+    List.exists
+      (fun (a, wi) -> List.exists (fun (b, wj) -> a = b && (wi || wj)) acc.(j))
+      acc.(i)
+  in
+  let is_load = function Design.Load _ -> true | _ -> false in
+  let is_write = function Design.Write _ -> true | _ -> false in
+  let load_cursor = Array.make (Array.length stages) (-1) in
   let n_steps = ref 0 in
-  let steps =
-    List.map
-      (fun stage ->
-        match stage with
-        | Design.Load { out_streams; ptr_args } ->
-          compile_load ring_index d ~out_streams ~ptr_args
-        | Design.Shift { input; output; halo; extent } ->
-          compile_shift_batched ring_index ~input ~output ~halo ~extent
-        | Design.Dup { input; outputs } ->
-          compile_dup_batched ring_index ~input ~outputs
-        | Design.Compute cc ->
-          let body = compile_block c (Hls.dataflow_body cc.df_op) in
-          n_steps := !n_steps + Array.length body;
-          let nbody = Array.length body in
-          fun rs ->
-            for k = 0 to nbody - 1 do
-              (Array.unsafe_get body k) rs
-            done
-        | Design.Write { in_streams; ptr_args; halo; extent } ->
-          compile_write_batched ring_index ~in_streams ~ptr_args ~halo ~extent)
-      d.d_stages
-    |> Array.of_list
+  let plans =
+    Array.mapi
+      (fun j stage ->
+        let earlier = List.filter (fun i -> conflicts i j) (List.init j Fun.id) in
+        let gated, deps =
+          List.partition
+            (fun i -> is_load stages.(i) && is_write stage)
+            earlier
+        in
+        let step =
+          match stage with
+          | Design.Load { out_streams; ptr_args } ->
+            let step, cur =
+              compile_load c ring_index d ~out_streams ~ptr_args
+            in
+            load_cursor.(j) <- cur;
+            step
+          | Design.Shift { input; output; halo; extent } ->
+            compile_shift c ring_index ~input ~output ~halo ~extent
+          | Design.Dup { input; _ } -> compile_dup ring_index ~input
+          | Design.Compute cc ->
+            let step, n = compile_compute c cc.df_op in
+            n_steps := !n_steps + n;
+            step
+          | Design.Write { in_streams; ptr_args; halo; extent } ->
+            compile_write c ring_index ~in_streams ~ptr_args ~halo ~extent
+              ~gates:(List.map (fun i -> load_cursor.(i)) gated)
+        in
+        let closes =
+          match stage with
+          | Design.Dup _ -> [||]
+          | _ ->
+            Design.outputs_of_stage stage
+            |> List.map (fun s ->
+                   ring_descs.(design_ring_idx ring_index s).rd_buf)
+            |> Array.of_list
+        in
+        { sp_step = step; sp_closes = closes; sp_deps = Array.of_list deps })
+      stages
   in
   {
     pl_id = Atomic.fetch_and_add plan_id_counter 1;
     pl_design = d;
     pl_ring_descs = ring_descs;
+    pl_buf_descs = buf_descs;
     pl_const_f = c.const_f;
     pl_const_i = c.const_i;
     pl_np = al.np;
@@ -1756,8 +2071,9 @@ let compile (d : Design.t) : t =
     pl_n_fcols = c.nfc;
     pl_n_icols = c.nic;
     pl_n_pcols = c.npc;
+    pl_n_cursors = c.ncur;
     pl_bind = bind;
-    pl_steps = steps;
+    pl_stages = plans;
     pl_stats =
       {
         cs_fregs = al.nf;
@@ -1776,19 +2092,61 @@ let compile_batched = compile
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
+(* The schedule.  Each sweep advances every stage, in topological
+   order, as far as its input buffers allow: a [Load] pushes one chunk
+   and everything downstream follows it, so buffers hold a chunk plus
+   each stream's lag rather than whole streams.  A stage that finishes
+   closes its output buffers.  A stage that raises stops there, and its
+   error is re-raised only once every earlier stage has finished: the
+   first unfinished stage in topological order decides, exactly as if
+   the stages had run one after another (the interpreter's order).  The
+   earliest unfinished stage always has closed inputs, so every sweep
+   finishes, fails or advances it and the schedule terminates. *)
 let run_with (t : t) (rs : run_state) ~(args : Functional.value array) =
-  (* a failed previous run may have left tokens queued *)
-  Array.iter ring_reset rs.rs_rings;
+  (* a failed previous run may have left any state behind *)
+  Array.iteri
+    (fun i b ->
+      b.b_base <- 0;
+      b.b_len <- 0;
+      b.b_closed <- t.pl_buf_descs.(i).bd_closed0)
+    rs.rs_bufs;
+  Array.iter (fun r -> r.rg_head <- 0) rs.rs_rings;
+  Array.fill rs.rs_cursors 0 (Array.length rs.rs_cursors) 0;
+  let stages = t.pl_stages in
+  let n = Array.length stages in
+  Array.fill rs.rs_done 0 n false;
+  Array.fill rs.rs_failed 0 n None;
   t.pl_bind args rs;
-  let steps = t.pl_steps in
-  for k = 0 to Array.length steps - 1 do
-    (Array.unsafe_get steps k) rs
+  let first = ref 0 in
+  while !first < n do
+    for k = !first to n - 1 do
+      let sp = Array.unsafe_get stages k in
+      if
+        (not rs.rs_done.(k))
+        && rs.rs_failed.(k) = None
+        && Array.for_all (fun i -> rs.rs_done.(i)) sp.sp_deps
+      then
+        match sp.sp_step rs with
+        | true ->
+          rs.rs_done.(k) <- true;
+          Array.iter (fun b -> rs.rs_bufs.(b).b_closed <- true) sp.sp_closes
+        | false -> ()
+        | exception e ->
+          rs.rs_failed.(k) <- Some (e, Printexc.get_raw_backtrace ())
+    done;
+    while !first < n && rs.rs_done.(!first) do
+      incr first
+    done;
+    if !first < n then
+      match rs.rs_failed.(!first) with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ()
   done;
   (* every stream should be fully drained: catches mis-wired designs
      (checked in ascending stream order, like the interpreter) *)
   Array.iter
     (fun r ->
-      if r.rg_len <> 0 then
+      if ring_len r <> 0 then
         Err.raise_error "functional sim: stream %d left %d undrained tokens"
           r.rg_stream (ring_tokens r))
     rs.rs_rings

@@ -163,6 +163,25 @@ let find_ints line name =
           let ints = List.filter_map (fun p -> int_of_string_opt (String.trim p)) parts in
           if List.length ints = List.length parts then Some ints else None)
 
+let complete_object line =
+  let n = String.length line in
+  let rec go i depth in_str =
+    if i >= n then false
+    else
+      let c = line.[i] in
+      if in_str then
+        if c = '\\' then go (i + 2) depth true
+        else go (i + 1) depth (c <> '"')
+      else
+        match c with
+        | '"' -> go (i + 1) depth true
+        | '{' | '[' -> go (i + 1) (depth + 1) false
+        | '}' | ']' ->
+          if depth = 1 then i = n - 1 && c = '}' else go (i + 1) (depth - 1) false
+        | _ -> go (i + 1) depth false
+  in
+  n > 0 && line.[0] = '{' && go 0 0 false
+
 (* ------------------------------------------------------------------ *)
 (* File helpers *)
 

@@ -30,5 +30,10 @@ val find_int : string -> string -> int option
 val find_bool : string -> string -> bool option
 val find_ints : string -> string -> int list option
 
+(** Is [line] one whole JSON object — a leading [{] whose matching [}]
+    ends the line, brackets balanced outside strings?  A row cut short
+    by an interrupted write is not. *)
+val complete_object : string -> bool
+
 (** Non-blank lines of [path]; [[]] if the file does not exist. *)
 val lines_of_file : string -> string list

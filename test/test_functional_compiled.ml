@@ -1,5 +1,5 @@
 (* Differential tests for the compiled functional simulator: the
-   whole-stream batched plan of {!Stage_compiler} must be bit-for-bit
+   streaming batched plan of {!Stage_compiler} must be bit-for-bit
    identical to the reference IR interpreter in {!Functional} — outputs
    on every kernel of the suites and the zoo, and error behaviour
    (message *and* location) on mis-wired designs. *)
@@ -304,6 +304,135 @@ let test_undrained_stream_parity () =
     (contains e.Shmls_support.Diagnostic.d_message "undrained");
   check_error_parity "undrained stream" broken ~args_of
 
+(* -- streaming schedule ---------------------------------------------- *)
+
+(* The batched engine streams its stages chunk by chunk through bounded
+   rings.  These grids span many chunks, so stages interleave mid-stream;
+   each check compares the batched engine bit for bit with [Functional]
+   (every padded float) and with the reference interpreter. *)
+
+let check_streamed ?variant k ~grid =
+  check_bit_identical ?variant k ~grid;
+  let c = Shmls.compile_cached ?variant k ~grid in
+  let v = Shmls.verify ~sim:Shmls.Batched c in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "%s %s: batched = reference" k.Shmls.Ast.k_name
+       (String.concat "x" (List.map string_of_int grid)))
+    0.0 v.v_max_diff
+
+(* In-place kernels: the write stage overwrites the very array the load
+   stage (and, under no-split, the fused compute) reads.  In
+   "reset_inplace" the new [u] does not depend on any stream, so its
+   compute runs the whole grid in the first sweep, far ahead of the
+   load of the old [u] that [x] reads. *)
+let inplace_kernels =
+  let open Shmls_frontend.Ast in
+  let k name ?(fields = []) stencils =
+    {
+      k_loc = Shmls_support.Loc.unknown;
+      k_name = name;
+      k_rank = 1;
+      k_fields = { fd_name = "u"; fd_role = Inout } :: fields;
+      k_smalls = [];
+      k_params = [];
+      k_stencils =
+        List.map
+          (fun (t, e) ->
+            { sd_loc = Shmls_support.Loc.unknown; sd_target = t; sd_expr = e })
+          stencils;
+    }
+  in
+  [
+    k "relax_inplace" [ ("u", const 0.25 *: (fld "u" [ -1 ] +: fld "u" [ 1 ])) ];
+    k "inplace" [ ("u", fld "u" [ -1 ] +: fld "u" [ 1 ]) ];
+    k "reset_inplace"
+      ~fields:[ { fd_name = "x"; fd_role = Output } ]
+      [ ("x", fld "u" [ -1 ] +: fld "u" [ 1 ]); ("u", const 2.0) ];
+  ]
+
+let test_inplace_many_chunks () =
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun k -> check_streamed ~variant k ~grid:[ 20000 ])
+        inplace_kernels)
+    [ Shmls.Variant.default; { Shmls.Variant.default with v_split = false } ]
+
+(* Token counts that are not a multiple of the chunk: 5002 padded
+   points in 1-D, 25x21x15 = 7875 in 3-D. *)
+let test_ragged_last_chunk () =
+  check_streamed H.avg_1d ~grid:[ 5000 ];
+  check_streamed H.chain_3d ~grid:[ 23; 19; 13 ];
+  check_streamed Shmls_kernels.Pw_advection.kernel ~grid:[ 23; 19; 13 ]
+
+(* Two independent chains that both starve.  The first chain's shift
+   is given one row more than the load streams, so it starves only once
+   the load has finished, thousands of tokens in; the second chain's
+   shift is gone, so its compute starves at once.  The schedule sees
+   the second failure first, yet must raise the first chain's error,
+   as the interpreter (which runs the stages one after another) does. *)
+let test_two_starved_chains () =
+  let open Shmls_frontend.Ast in
+  let k =
+    {
+      k_loc = Shmls_support.Loc.unknown;
+      k_name = "two_chains";
+      k_rank = 2;
+      k_fields =
+        [
+          { fd_name = "a"; fd_role = Input };
+          { fd_name = "b"; fd_role = Input };
+          { fd_name = "x"; fd_role = Output };
+          { fd_name = "y"; fd_role = Output };
+        ];
+      k_smalls = [];
+      k_params = [];
+      k_stencils =
+        [
+          {
+            sd_loc = Shmls_support.Loc.file ~file:"two.psy" ~line:1 ~col:3;
+            sd_target = "x";
+            sd_expr = fld "a" [ -1; 0 ] +: fld "a" [ 1; 0 ];
+          };
+          {
+            sd_loc = Shmls_support.Loc.file ~file:"two.psy" ~line:2 ~col:3;
+            sd_target = "y";
+            sd_expr = fld "b" [ 0; -1 ] *: fld "b" [ 0; 1 ];
+          };
+        ];
+    }
+  in
+  let c = Shmls.compile_cached k ~grid:[ 60; 150 ] in
+  let d = c.c_design in
+  let shifts = ref 0 in
+  let broken =
+    {
+      d with
+      Shmls.Design.d_stages =
+        List.filter_map
+          (fun st ->
+            match st with
+            | Shmls.Design.Shift s ->
+              incr shifts;
+              if !shifts = 1 then
+                Some
+                  (Shmls.Design.Shift
+                     { s with extent = (List.hd s.extent + 1) :: List.tl s.extent })
+              else None
+            | st -> Some st)
+          d.d_stages;
+    }
+  in
+  Alcotest.(check int) "one shift per chain" 2 !shifts;
+  let args_of () = args_of_state (Interp.alloc_state ~seed:7 c.c_lowered) in
+  let e =
+    run_expect_error "two starved chains" (fun () ->
+        Functional.run broken ~args:(args_of ()))
+  in
+  Alcotest.(check bool) "the first chain's shift fails first" true
+    (e.Shmls_support.Diagnostic.d_loc = Shmls_support.Loc.unknown);
+  check_error_parity "two starved chains" broken ~args_of
+
 (* -- parallel sweeps and shared plans -------------------------------- *)
 
 (* One immutable plan, driven concurrently from several domains with
@@ -458,6 +587,15 @@ let () =
           Alcotest.test_case "starved read" `Quick test_starved_read_parity;
           Alcotest.test_case "undrained stream" `Quick
             test_undrained_stream_parity;
+        ] );
+      ( "streaming",
+        [
+          Alcotest.test_case "in-place kernels across many chunks" `Quick
+            test_inplace_many_chunks;
+          Alcotest.test_case "ragged last chunk, 1-D and 3-D" `Quick
+            test_ragged_last_chunk;
+          Alcotest.test_case "two starved chains" `Quick
+            test_two_starved_chains;
         ] );
       ( "parallel sweep",
         [

@@ -204,6 +204,40 @@ let test_batched_plan_and_state_budget () =
   Shmls.Stage_compiler.reset_compile_count ();
   Shmls.Stage_compiler.reset_state_count ()
 
+(* The batched engine streams: its rings hold a chunk plus each
+   stream's lag, not whole streams.  After a PW run at 64x64x32 the
+   state's buffers together hold under 5% of what whole-stream rings
+   would (every stream's [total_padded x width] floats). *)
+let test_streaming_ring_bound () =
+  let c = Shmls.compile PW.kernel ~grid:[ 64; 64; 32 ] in
+  let d = c.c_design in
+  let plan = Shmls.Stage_compiler.compile d in
+  let st = Shmls.Interp.alloc_state ~seed:1 c.c_lowered in
+  let ptr (_, (g : Shmls.Grid.t)) = Shmls.Functional.Ptr (g.data, 0) in
+  let args =
+    List.map ptr st.fields @ List.map ptr st.smalls
+    @ List.map (fun (_, v) -> Shmls.Functional.F v) st.params
+    |> Array.of_list
+  in
+  let rs = Shmls.Stage_compiler.create_state plan in
+  Shmls.Stage_compiler.run_with plan rs ~args;
+  let whole =
+    List.fold_left
+      (fun acc (s : Shmls.Design.stream) ->
+        let w =
+          match s.st_elem with
+          | Ty.Array (n, _) -> n
+          | Ty.Struct ts -> List.length ts
+          | _ -> 1
+        in
+        acc + (Shmls.Design.total_padded d * w))
+      0 d.d_streams
+  in
+  let held = Shmls.Stage_compiler.ring_capacity rs in
+  if held * 20 >= whole then
+    Alcotest.failf "rings hold %d floats, whole streams %d: not streaming" held
+      whole
+
 (* ------------------------------------------------------------------ *)
 (* Pass-result memo *)
 
@@ -259,6 +293,11 @@ let () =
             test_run_state_budget;
           Alcotest.test_case "batched plan and state budget" `Quick
             test_batched_plan_and_state_budget;
+        ] );
+      ( "streaming",
+        [
+          Alcotest.test_case "ring capacity bound at 64x64x32" `Quick
+            test_streaming_ring_bound;
         ] );
       ( "pass manager",
         [
