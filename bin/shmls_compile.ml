@@ -271,67 +271,24 @@ let row_json ~variant ~idx ~kernel_name ~grid ~measured (outcomes, verification)
     model_field verify_field measured_field
 
 (* Configurations already present in a JSON Lines output file, keyed on
-   (kernel, grid, variant) — what --resume skips.  Only whole rows count.
-   A torn last row (a sweep stopped mid-write) is cut from the file, with
-   a message, so its configuration is swept again; any other malformed
-   row is an error located at its line. *)
+   (kernel, grid, variant) — what --resume skips.  Only whole rows count
+   (see {!Shmls_support.Jsonl.resume_rows}). *)
 let swept_keys path =
   let module J = Shmls_support.Jsonl in
-  let key line =
-    match
-      ( J.find_string line "kernel",
-        J.find_ints line "grid",
-        J.find_string line "variant" )
-    with
-    | Some k, Some g, Some v when J.complete_object line ->
-      Some (k ^ "|" ^ String.concat "x" (List.map string_of_int g) ^ "|" ^ v)
-    | _ -> None
-  in
-  if not (Sys.file_exists path) then []
-  else begin
-    let text = In_channel.with_open_bin path In_channel.input_all in
-    let len = String.length text in
-    (* non-blank rows: (line number, start offset, text) *)
-    let rec rows lno off acc =
-      if off >= len then List.rev acc
-      else
-        let stop =
-          Option.value ~default:len (String.index_from_opt text off '\n')
-        in
-        let l = String.sub text off (stop - off) in
-        let acc = if String.trim l = "" then acc else (lno, off, l) :: acc in
-        rows (lno + 1) (stop + 1) acc
-    in
-    let rows = rows 1 0 [] in
-    let last = List.length rows - 1 in
-    let keys =
-      List.mapi
-        (fun i (lno, off, l) ->
-          match key l with
-          | Some k -> Some k
-          | None when i = last ->
-            Printf.printf
-              "resuming %s: dropping the torn last row (line %d); it is swept \
-               again\n\
-               %!"
-              path lno;
-            Out_channel.with_open_bin path (fun oc ->
-                output_string oc (String.sub text 0 off));
-            None
-          | None ->
-            Shmls_support.Err.raise_error
-              ~loc:(Shmls_support.Loc.file ~file:path ~line:lno ~col:1)
-              "malformed sweep row (not a whole JSON object with kernel, \
-               grid and variant)")
-        rows
-    in
-    (* a whole last row that lost only its newline gets it back, so the
-       next row starts on a line of its own *)
-    if len > 0 && text.[len - 1] <> '\n' && List.nth keys last <> None then
-      Out_channel.with_open_gen [ Open_wronly; Open_append ] 0o644 path
-        (fun oc -> output_char oc '\n');
-    List.filter_map Fun.id keys
-  end
+  J.resume_rows ~again:"swept again"
+    ~malformed:
+      "malformed sweep row (not a whole JSON object with kernel, grid and \
+       variant)"
+    ~parse:(fun line ->
+      match
+        ( J.find_string line "kernel",
+          J.find_ints line "grid",
+          J.find_string line "variant" )
+      with
+      | Some k, Some g, Some v ->
+        Some (k ^ "|" ^ String.concat "x" (List.map string_of_int g) ^ "|" ^ v)
+      | _ -> None)
+    path
 
 let config_key ~variant (k : Shmls.Ast.kernel) grid =
   k.k_name ^ "|"

@@ -25,10 +25,13 @@
             fast-forward mechanisms that skip whole runs of cycles in
             closed form: an idle jump to the next time-based guard flip
             when a cycle mutates nothing (pure pipeline-latency wait),
-            and a steady-state detector that recognises when the bounded
-            state (FIFO occupancies, in-flight offsets, II distances)
-            repeats with period p and all counters advance by a constant
-            per-period delta, then applies n periods at once.  Cycle
+            and an affine period detector that recognises when the
+            compute state (in-flight offsets, II distances, pass phase)
+            repeats with period p while every counter, FIFO occupancy
+            and shift fill level moves by a constant per-period delta,
+            then applies n periods at once — as long as no guard
+            changes its answer, so the steady state and the fill and
+            drain ramps alike cost a handful of cycles each.  Cycle
             counts, deadlock verdicts and tracer-visible occupancy
             sequences are identical to Tick by construction (the
             differential suite in test/test_cycle_engines.ml enforces
@@ -305,29 +308,39 @@ let run_tick ?on_cycle (d : Design.t) =
    earliest such flip, synthesising the unchanged per-cycle tracer
    records in between.
 
-   Steady-state skip.  After every mutating cycle we record a signature
-   of the *bounded* state: all FIFO occupancies, each shift's held
-   element count, each compute's retirement phase, in-flight ready
-   offsets (clamped at 0 — once ready <= cycle the exact value can
-   never matter again) and II distance (clamped at ii — once the guard
-   is satisfied it stays satisfied until the next start), plus the full
-   vector of monotone counters.  If the signature at cycle t equals the
-   signature at t-p, determinism makes cycles t+1..t+p replay
-   t-p+1..t exactly — provided every counter-dependent guard evaluates
-   the same, which holds as long as each moving counter stays strictly
-   inside its current regime: below [total] for the monotone-increasing
-   ones, at or above a full burst (8) for load's remaining words, and
-   inside the current serial pass for a compute's retirement phase.
-   Those thresholds bound how many whole periods n can be applied at
-   once; we add n * delta to every counter, n * p to every in-flight
+   Affine period skip.  After every mutating cycle we record three
+   views of the state.  The *exact* part: each compute's retirement
+   phase, in-flight ready offsets (clamped at 0 — once ready <= cycle
+   the exact value can never matter again) and II distance (clamped at
+   ii — once the guard is satisfied it stays satisfied until the next
+   start).  The *affine* part: every FIFO occupancy and each shift's
+   held element count.  And the vector of monotone counters.  If the
+   exact part at cycle t equals the one at t-p, while the affine part
+   and the counters moved by some delta, determinism makes cycles
+   t+1..t+p replay t-p+1..t with every affine value and counter moved
+   by that delta — provided every guard evaluates the same.  For the
+   counters that holds while each stays strictly inside its current
+   regime: below [total] for the monotone-increasing ones, at or above
+   a full burst (8) for load's remaining words, and inside the current
+   serial pass for a compute's retirement phase.  For a moving affine
+   value it holds while its values at the starts of the period's cycles
+   (the samples at t-p..t-1) and their images after n periods all lie
+   in one guard regime: an occupancy in [takes, cap - puts] (the most a
+   stream's consumers take and its producers push in one cycle, so with
+   one consumer and one producer [1, cap-1], and [1, cap-8] under a
+   load's burst), a held count in [0, la-1] or [la+1, window-1].  Those
+   bounds cap how many whole periods n can be applied at once; we add
+   n * delta to every counter and occupancy, n * p to every in-flight
    ready time and (when the compute started during the period) to
-   last_start, and advance the clock by n * p.  FIFO occupancies are
-   periodic, so they are left untouched.  Variants break periodicity
-   only transiently: a no-split fused stage changes its retirement
-   target stream once per serial pass and cu=N designs interleave
-   phased retirement, both of which land outside the signature match or
-   the phase threshold for a few cycles, after which the detector locks
-   on again. *)
+   last_start, and advance the clock by n * p.  Delta 0 is the plain
+   steady state, and only such an exact period is reported as
+   [ss_period]; a nonzero delta is a fill or drain ramp (a shift
+   filling its window, a deep FIFO filling or emptying), skipped the
+   same way.  Variants break periodicity only transiently: a
+   no-split fused stage changes its retirement target stream once per
+   serial pass and cu=N designs interleave phased retirement, both of
+   which land outside the match or the phase threshold for a few
+   cycles, after which the detector locks on again. *)
 
 type estage =
   | E_load of { outs : fifo array; remaining : int array }
@@ -356,11 +369,13 @@ type estage =
       total : int;
       per_pass : int;
       passes : int;
-      (* in-flight ready cycles as a power-of-two ring buffer: at most
-         one start per cycle and a fixed latency bound the population to
-         latency + 1, so the ring never grows and never allocates *)
-      q_buf : int array;
-      q_mask : int;
+      (* in-flight ready cycles as a power-of-two ring buffer.  At most
+         one start per cycle and a fixed latency keep latency + 1
+         results in flight while the output drains; a full output holds
+         finished results back while starts go on, and then the ring
+         doubles *)
+      mutable q_buf : int array;
+      mutable q_mask : int;
       mutable q_head : int;
       mutable q_len : int;
       mutable last_start : int;
@@ -369,7 +384,8 @@ type estage =
          exactly — entries older than latency are all ready (offset
          clamps to 0) — so the steady-state signature needs one word
          per compute instead of a queue walk.  0 mask = latency too
-         large for a word; the signature walks the ring instead. *)
+         large for a word; the signature lists the offsets of the
+         results not yet ready instead. *)
       bits_mask : int;
       mutable start_bits : int;
     }
@@ -388,10 +404,12 @@ let run_event ?on_cycle (d : Design.t) =
   let nstreams = List.length d.d_streams in
   let fifos = Hashtbl.create 32 in
   let fifo_arr = Array.make (max nstreams 1) { occ = 0; cap = 0 } in
+  let stream_index = Hashtbl.create 32 in
   List.iteri
     (fun i (s : Design.stream) ->
       let f = { occ = 0; cap = s.st_depth } in
       Hashtbl.replace fifos s.st_id f;
+      Hashtbl.replace stream_index s.st_id i;
       fifo_arr.(i) <- f)
     d.d_streams;
   let fifo id =
@@ -510,6 +528,59 @@ let run_event ?on_cycle (d : Design.t) =
         Array.iter (fun v -> dst.(!i) <- v; incr i) w.w_retired
     done
   in
+  (* affine layout: every FIFO occupancy (stream order), then each
+     shift's held count (stage order).  A moving value keeps every guard
+     that reads it fixed while it stays in [a_lo, a_hi] on one side of
+     [a_piv]; a_piv = a_lo - 1 leaves the whole range one regime. *)
+  let nshifts =
+    Array.fold_left
+      (fun acc (_, st) -> match st with E_shift _ -> acc + 1 | _ -> acc)
+      0 estages
+  in
+  let naff = nstreams + nshifts in
+  let a_lo = Array.make naff 0 in
+  let a_hi = Array.make naff 0 in
+  let a_piv = Array.make naff 0 in
+  (* occupancy: [takes, cap - puts], counting every consumer's token and
+     every producer's push (a load's burst of 8) one cycle can move *)
+  Array.iteri (fun i f -> a_hi.(i) <- f.cap) fifo_arr;
+  List.iter
+    (fun stage ->
+      let bump arr n sid =
+        let i = Hashtbl.find stream_index sid in
+        arr.(i) <- arr.(i) + n
+      in
+      List.iter (bump a_lo 1) (Design.inputs_of_stage stage);
+      let burst = match stage with Design.Load _ -> 8 | _ -> 1 in
+      List.iter (bump a_hi (-burst)) (Design.outputs_of_stage stage))
+    d.d_stages;
+  for i = 0 to nstreams - 1 do
+    a_piv.(i) <- a_lo.(i) - 1
+  done;
+  (let j = ref nstreams in
+   Array.iter
+     (fun (_, st) ->
+       match st with
+       | E_shift s ->
+         a_lo.(!j) <- 0;
+         a_hi.(!j) <- s.window - 1;
+         a_piv.(!j) <- s.lookahead;
+         incr j
+       | _ -> ())
+     estages);
+  let read_affine dst =
+    for i = 0 to nstreams - 1 do
+      dst.(i) <- fifo_arr.(i).occ
+    done;
+    let j = ref nstreams in
+    for k = 0 to Array.length estages - 1 do
+      match snd estages.(k) with
+      | E_shift s ->
+        dst.(!j) <- s.consumed - s.produced;
+        incr j
+      | _ -> ()
+    done
+  in
   let cycle = ref 0 in
   let progressed = ref true in
   let mutated = ref false in
@@ -577,6 +648,16 @@ let run_event ?on_cycle (d : Design.t) =
             Array.iter (fun f -> f.occ <- f.occ - 1) c.c_fins;
             c.started <- c.started + 1;
             c.last_start <- !cycle;
+            if c.q_len = Array.length c.q_buf then begin
+              let n = Array.length c.q_buf in
+              let buf = Array.make (2 * n) 0 in
+              for j = 0 to n - 1 do
+                buf.(j) <- c.q_buf.((c.q_head + j) land c.q_mask)
+              done;
+              c.q_buf <- buf;
+              c.q_mask <- (2 * n) - 1;
+              c.q_head <- 0
+            end;
             c.q_buf.((c.q_head + c.q_len) land c.q_mask) <- !cycle + c.latency;
             c.q_len <- c.q_len + 1;
             progressed := true;
@@ -615,21 +696,17 @@ let run_event ?on_cycle (d : Design.t) =
       )
       estages
   in
-  (* signature of the bounded state, written into a reused scratch
-     buffer with a full accumulated hash — no allocation per cycle, and
-     hash inequality is decisive enough that deep compares only happen
-     on genuine period candidates *)
+  (* signature of the exact part of the state, written into a reused
+     scratch buffer with a full accumulated hash — no allocation per
+     cycle, and hash inequality is decisive enough that deep compares
+     only happen on genuine period candidates *)
   let max_sig =
-    nstreams
-    + Array.fold_left
-        (fun acc (_, st) ->
-          acc
-          +
-          match st with
-          | E_shift _ -> 1
-          | E_compute c -> 3 + Array.length c.q_buf
-          | _ -> 0)
-        0 estages
+    Array.fold_left
+      (fun acc (_, st) ->
+        match st with
+        | E_compute c -> acc + 3 + c.latency
+        | _ -> acc)
+      0 estages
   in
   let scratch = Array.make (max max_sig 16) 0 in
   let slen = ref 0 in
@@ -638,19 +715,8 @@ let run_event ?on_cycle (d : Design.t) =
   let sig_of c =
     let i = ref 0 in
     let h = ref 0 in
-    for k = 0 to nstreams - 1 do
-      let v = fifo_arr.(k).occ in
-      scratch.(!i) <- v;
-      incr i;
-      h := (!h * 31) + v
-    done;
     for k = 0 to Array.length estages - 1 do
       match snd estages.(k) with
-      | E_shift s ->
-        let v = s.consumed - s.produced in
-        scratch.(!i) <- v;
-        incr i;
-        h := (!h * 31) + v
       | E_compute cc ->
         let phase = min (cc.retired / cc.per_pass) (cc.passes - 1) in
         let dist = min (c - cc.last_start) cc.ii in
@@ -665,19 +731,23 @@ let run_event ?on_cycle (d : Design.t) =
           h := (!h * 31) + cc.start_bits
         end
         else
+          (* ready times ascend: the ready results (offset clamped to 0)
+             come first and q_len counts them; at most [latency] remain *)
           for j = 0 to cc.q_len - 1 do
-            let v = max 0 (cc.q_buf.((cc.q_head + j) land cc.q_mask) - c) in
-            scratch.(!i) <- v;
-            incr i;
-            h := (!h * 31) + v
+            let v = cc.q_buf.((cc.q_head + j) land cc.q_mask) - c in
+            if v > 0 then begin
+              scratch.(!i) <- v;
+              incr i;
+              h := (!h * 31) + v
+            end
           done
       | _ -> ()
     done;
     slen := !i;
     shash := !h
   in
-  (* history ring of (time, signature, hash, counters, occupancies) for
-     the last p_max+1 mutating cycles *)
+  (* history ring of (time, signature, hash, counters, affine values)
+     for the last p_max+1 mutating cycles *)
   let p_max = 8 in
   let hcap = p_max + 1 in
   let h_time = Array.make hcap (-1) in
@@ -685,7 +755,7 @@ let run_event ?on_cycle (d : Design.t) =
   let h_siglen = Array.make hcap 0 in
   let h_hash = Array.make hcap 0 in
   let h_cnt = Array.init hcap (fun _ -> Array.make ncnt 0) in
-  let h_occ = Array.init hcap (fun _ -> Array.make nstreams 0) in
+  let h_aff = Array.init hcap (fun _ -> Array.make naff 0) in
   let hlen = ref 0 in
   let record_history c =
     let slot = c mod hcap in
@@ -695,7 +765,7 @@ let run_event ?on_cycle (d : Design.t) =
     h_siglen.(slot) <- !slen;
     h_hash.(slot) <- !shash;
     read_counters h_cnt.(slot);
-    Array.iteri (fun i f -> h_occ.(slot).(i) <- f.occ) fifo_arr;
+    read_affine h_aff.(slot);
     if !hlen < hcap then incr hlen
   in
   let sig_equal a b =
@@ -709,22 +779,14 @@ let run_event ?on_cycle (d : Design.t) =
     done;
     !i = n
   in
-  (* replay synthesised tracer records for implicit cycles j0..j1-1,
-     reading occupancies from [occ_at] (phase within the current period) *)
-  let synth_on_cycle f j0 j1 occ_at =
-    let saved = Array.map (fun fx -> fx.occ) fifo_arr in
-    for j = j0 to j1 - 1 do
-      let snap = occ_at j in
-      Array.iteri (fun i fx -> fx.occ <- snap.(i)) fifo_arr;
-      f j (occ_list ())
-    done;
-    Array.iteri (fun i fx -> fx.occ <- saved.(i)) fifo_arr
-  in
+  (* per-period deltas of the candidate period, reused across calls *)
+  let d_cnt = Array.make ncnt 0 in
+  let d_aff = Array.make naff 0 in
   (* how many whole periods the counter thresholds allow *)
-  let bound_periods deltas cnts =
+  let bound_periods cnts =
     let n = ref max_int in
     for i = 0 to ncnt - 1 do
-      let dv = deltas.(i) and v = cnts.(i) in
+      let dv = d_cnt.(i) and v = cnts.(i) in
       if dv <> 0 then begin
         let b =
           match kinds.(i) with
@@ -740,86 +802,129 @@ let run_event ?on_cycle (d : Design.t) =
     done;
     !n
   in
+  (* how many whole periods keep every moving affine value inside the
+     guard regime it has at the starts of the period's cycles — the
+     samples at c-p..c-1 *)
+  let bound_regimes c p =
+    let n = ref max_int in
+    for i = 0 to naff - 1 do
+      let dv = d_aff.(i) in
+      if dv <> 0 && !n > 0 then begin
+        let mn = ref max_int and mx = ref min_int in
+        for t = c - p to c - 1 do
+          let v = h_aff.(t mod hcap).(i) in
+          if v < !mn then mn := v;
+          if v > !mx then mx := v
+        done;
+        let piv = a_piv.(i) in
+        let b =
+          if !mn < a_lo.(i) || !mx > a_hi.(i) || (!mn <= piv && !mx >= piv)
+          then 0
+          else
+            let lo = if !mx < piv then a_lo.(i) else piv + 1 in
+            let hi = if !mx < piv then piv - 1 else a_hi.(i) in
+            if dv > 0 then (hi - !mx) / dv else (!mn - lo) / -dv
+        in
+        if b < !n then n := b
+      end
+    done;
+    !n
+  in
   (* detect a period ending at cycle c (= !cycle - 1) and apply as many
      whole periods as the thresholds and budget allow *)
   let try_skip c =
     let cur = c mod hcap in
-    let p = ref 1 in
+    let period = ref 1 in
     let applied = ref false in
-    while (not !applied) && !p <= min p_max (!hlen - 1) do
-      let prev = (c - !p) mod hcap in
-      if h_time.(prev) = c - !p && sig_equal cur prev then begin
-        let deltas = Array.make ncnt 0 in
+    while (not !applied) && !period <= min p_max (!hlen - 1) do
+      let p = !period in
+      let prev = (c - p) mod hcap in
+      if h_time.(prev) = c - p && sig_equal cur prev then begin
         let moving = ref false in
         for i = 0 to ncnt - 1 do
-          deltas.(i) <- h_cnt.(cur).(i) - h_cnt.(prev).(i);
-          if deltas.(i) <> 0 then moving := true
+          d_cnt.(i) <- h_cnt.(cur).(i) - h_cnt.(prev).(i);
+          if d_cnt.(i) <> 0 then moving := true
+        done;
+        let exact = ref true in
+        for i = 0 to naff - 1 do
+          d_aff.(i) <- h_aff.(cur).(i) - h_aff.(prev).(i);
+          if d_aff.(i) <> 0 then exact := false
         done;
         if !moving then begin
-          if !ss_period = None then begin
+          if !exact && !ss_period = None then begin
             (* write retirements per detected period, for the model's
                fill/steady cross-check *)
             let wd = ref 0 and i = ref 0 in
-            Array.iter
-              (fun (_, st) ->
-                match st with
-                | E_load l -> i := !i + Array.length l.remaining
-                | E_shift _ -> i := !i + 2
-                | E_dup _ -> incr i
-                | E_compute _ -> i := !i + 2
-                | E_write w ->
-                  Array.iter (fun _ -> wd := !wd + deltas.(!i); incr i)
-                    w.w_retired)
-              estages;
-            ss_period := Some (!p, !wd)
+            for k = 0 to Array.length estages - 1 do
+              match snd estages.(k) with
+              | E_load l -> i := !i + Array.length l.remaining
+              | E_shift _ -> i := !i + 2
+              | E_dup _ -> incr i
+              | E_compute _ -> i := !i + 2
+              | E_write w ->
+                for _ = 1 to Array.length w.w_retired do
+                  wd := !wd + d_cnt.(!i);
+                  incr i
+                done
+            done;
+            ss_period := Some (p, !wd)
           end;
-          let n = min (bound_periods deltas h_cnt.(cur)) ((budget - !cycle) / !p) in
+          let n =
+            min
+              (min (bound_periods h_cnt.(cur)) (bound_regimes c p))
+              ((budget - !cycle) / p)
+          in
           if n >= 1 then begin
+            (* cycle c+1+m ends in the state of c-p+1+(m mod p), moved
+               by (m/p + 1) deltas *)
             (match on_cycle with
             | Some f ->
-              synth_on_cycle f !cycle (!cycle + (n * !p)) (fun j ->
-                  h_occ.((c - !p + 1 + ((j - c - 1) mod !p)) mod hcap))
+              for m = 0 to (n * p) - 1 do
+                let slot = (c - p + 1 + (m mod p)) mod hcap in
+                let k = (m / p) + 1 in
+                Array.iteri
+                  (fun i fx -> fx.occ <- h_aff.(slot).(i) + (k * d_aff.(i)))
+                  fifo_arr;
+                f (!cycle + m) (occ_list ())
+              done
             | None -> ());
+            for i = 0 to nstreams - 1 do
+              fifo_arr.(i).occ <- h_aff.(cur).(i) + (n * d_aff.(i))
+            done;
             (* advance counters by n periods *)
             let i = ref 0 in
-            let adj = n in
-            Array.iter
-              (fun (_, st) ->
-                match st with
-                | E_load l ->
-                  Array.iteri
-                    (fun k _ ->
-                      l.remaining.(k) <- l.remaining.(k) + (adj * deltas.(!i));
-                      incr i)
-                    l.remaining
-                | E_shift s ->
-                  s.consumed <- s.consumed + (adj * deltas.(!i));
-                  incr i;
-                  s.produced <- s.produced + (adj * deltas.(!i));
+            for k = 0 to Array.length estages - 1 do
+              match snd estages.(k) with
+              | E_load l ->
+                for j = 0 to Array.length l.remaining - 1 do
+                  l.remaining.(j) <- l.remaining.(j) + (n * d_cnt.(!i));
                   incr i
-                | E_dup du ->
-                  du.moved <- du.moved + (adj * deltas.(!i));
+                done
+              | E_shift s ->
+                s.consumed <- s.consumed + (n * d_cnt.(!i));
+                s.produced <- s.produced + (n * d_cnt.(!i + 1));
+                i := !i + 2
+              | E_dup du ->
+                du.moved <- du.moved + (n * d_cnt.(!i));
+                incr i
+              | E_compute cc ->
+                let d_started = d_cnt.(!i) in
+                cc.started <- cc.started + (n * d_started);
+                cc.retired <- cc.retired + (n * d_cnt.(!i + 1));
+                i := !i + 2;
+                let shift = n * p in
+                if d_started > 0 then cc.last_start <- cc.last_start + shift;
+                for j = 0 to cc.q_len - 1 do
+                  let slot = (cc.q_head + j) land cc.q_mask in
+                  cc.q_buf.(slot) <- cc.q_buf.(slot) + shift
+                done
+              | E_write w ->
+                for j = 0 to Array.length w.w_retired - 1 do
+                  w.w_retired.(j) <- w.w_retired.(j) + (n * d_cnt.(!i));
                   incr i
-                | E_compute cc ->
-                  let d_started = deltas.(!i) in
-                  cc.started <- cc.started + (adj * d_started);
-                  incr i;
-                  cc.retired <- cc.retired + (adj * deltas.(!i));
-                  incr i;
-                  let shift = adj * !p in
-                  if d_started > 0 then cc.last_start <- cc.last_start + shift;
-                  for k = 0 to cc.q_len - 1 do
-                    let slot = (cc.q_head + k) land cc.q_mask in
-                    cc.q_buf.(slot) <- cc.q_buf.(slot) + shift
-                  done
-                | E_write w ->
-                  Array.iteri
-                    (fun k _ ->
-                      w.w_retired.(k) <- w.w_retired.(k) + (adj * deltas.(!i));
-                      incr i)
-                    w.w_retired)
-              estages;
-            let skipped = n * !p in
+                done
+            done;
+            let skipped = n * p in
             cycle := !cycle + skipped;
             fast_forwarded := !fast_forwarded + skipped;
             hlen := 0;
@@ -827,7 +932,7 @@ let run_event ?on_cycle (d : Design.t) =
           end
         end
       end;
-      incr p
+      incr period
     done
   in
   (* a cycle that mutated nothing can only be unblocked by time: jump to
@@ -944,7 +1049,7 @@ let run ?(engine = Event) ?on_cycle (d : Design.t) =
    delivery over the link, whose charged cycles come from the link
    model (latency never hidden, serialisation overlapped with the
    design's fill ramp — computed here from the stream delays, the same
-   quantity {!Perf_model.design_fill} reports).  The makespan is the
+   quantity {!Depth_balance.design_fill} reports).  The makespan is the
    slowest device's total: compute and exchange of different devices
    overlap freely, neighbours' exchanges are concurrent on distinct
    links. *)
@@ -967,10 +1072,6 @@ type multi_result = {
   mr_deadlocked : bool;
 }
 
-let design_fill (d : Design.t) =
-  let delays = Depth_balance.stream_delays d in
-  Hashtbl.fold (fun _ v acc -> max v acc) delays 0
-
 let run_multi ?(engine = Event) ?(sweeps = 1) ~link
     (devices : (Design.t * int) list) =
   if devices = [] then Err.raise_error "cycle_sim: run_multi needs a device";
@@ -979,7 +1080,7 @@ let run_multi ?(engine = Event) ?(sweeps = 1) ~link
     List.map
       (fun (d, bytes) ->
         let r = run ~engine d in
-        let fill = design_fill d in
+        let fill = Depth_balance.design_fill d in
         let transfer =
           if bytes <= 0 then 0.0 else Link.transfer_cycles link ~bytes
         in

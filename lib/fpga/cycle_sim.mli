@@ -6,10 +6,11 @@
 (** Which simulation engine to run.  [Tick] is the original
     fire-every-stage-every-cycle loop, kept as the bit-exact oracle.
     [Event] (the default) applies the same firing rules on precomputed
-    arrays and fast-forwards pure latency waits and detected
-    steady-state periods in closed form; its cycle counts, deadlock
-    verdicts and tracer-visible occupancy sequences are identical to
-    [Tick] (enforced by the differential suite). *)
+    arrays and fast-forwards pure latency waits, steady-state periods
+    and the affine fill and drain ramps between them in closed form;
+    its cycle counts, deadlock verdicts and tracer-visible occupancy
+    sequences are identical to [Tick] (enforced by the differential
+    suite). *)
 type engine = Tick | Event
 
 val engine_to_string : engine -> string
@@ -26,7 +27,10 @@ type result = {
   cycles_fast_forwarded : int;  (** cycles covered in closed form *)
   ss_period : (int * int) option;
       (** detected steady state: (period cycles, write retirements per
-          period); [None] when no period was detected (or under Tick) *)
+          period) of the first exact period — one after which every FIFO
+          occupancy and shift fill level is back where it was; ramps
+          fast-forwarded with a nonzero delta never set it.  [None] when
+          no exact period was detected (or under Tick) *)
 }
 
 (** [on_cycle] is called after every simulated cycle with the FIFO

@@ -48,10 +48,7 @@ let estimate ?(port_bytes = U280.axi_bytes) ~total_padded ~interior ~fill ~ii
     e_bandwidth_bound = bandwidth_bound;
   }
 
-(* Fill latency of a design: the longest stream-delay path to write_data. *)
-let design_fill (d : Design.t) =
-  let delays = Depth_balance.stream_delays d in
-  Hashtbl.fold (fun _ v acc -> max v acc) delays 0
+let design_fill = Depth_balance.design_fill
 
 (* Bytes moved over AXI per grid point: one f64 read per loaded field,
    one f64 write per stored field, plus (fused variant) one f64 read per

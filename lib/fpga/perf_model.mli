@@ -31,7 +31,8 @@ val estimate :
   unit ->
   estimate
 
-(** Longest stream-delay path of a design (its fill latency). *)
+(** {!Depth_balance.design_fill}, re-exported next to the model that
+    charges it. *)
 val design_fill : Design.t -> int
 
 (** AXI bytes moved per grid point (one read per loaded field, one write

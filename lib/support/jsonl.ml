@@ -183,19 +183,45 @@ let complete_object line =
   n > 0 && line.[0] = '{' && go 0 0 false
 
 (* ------------------------------------------------------------------ *)
-(* File helpers *)
+(* Resuming a file *)
 
-let lines_of_file path =
+let resume_rows ~again ~malformed ~parse path =
   if not (Sys.file_exists path) then []
   else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (if String.trim line = "" then acc else line :: acc)
-          | exception End_of_file -> List.rev acc
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    let len = String.length text in
+    (* non-blank rows: (line number, start offset, text) *)
+    let rec rows lno off acc =
+      if off >= len then List.rev acc
+      else
+        let stop =
+          Option.value ~default:len (String.index_from_opt text off '\n')
         in
-        go [])
+        let l = String.sub text off (stop - off) in
+        let acc = if String.trim l = "" then acc else (lno, off, l) :: acc in
+        rows (lno + 1) (stop + 1) acc
+    in
+    let rows = rows 1 0 [] in
+    let last = List.length rows - 1 in
+    let parsed =
+      List.mapi
+        (fun i (lno, off, l) ->
+          match if complete_object l then parse l else None with
+          | Some r -> Some r
+          | None when i = last ->
+            Printf.printf
+              "resuming %s: dropping the torn last row (line %d); it is %s\n%!"
+              path lno again;
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc (String.sub text 0 off));
+            None
+          | None ->
+            Err.raise_error ~loc:(Loc.file ~file:path ~line:lno ~col:1) "%s"
+              malformed)
+        rows
+    in
+    if len > 0 && text.[len - 1] <> '\n' && List.nth parsed last <> None then
+      Out_channel.with_open_gen [ Open_wronly; Open_append ] 0o644 path
+        (fun oc -> output_char oc '\n');
+    List.filter_map Fun.id parsed
   end

@@ -35,5 +35,15 @@ val find_ints : string -> string -> int list option
     by an interrupted write is not. *)
 val complete_object : string -> bool
 
-(** Non-blank lines of [path]; [[]] if the file does not exist. *)
-val lines_of_file : string -> string list
+(** The rows of a JSON Lines file that sweep or tune resumes, parsed, in file
+    order; [[]] if the file does not exist.  A row counts when it is a
+    {!complete_object} and [parse] accepts it.  A last row that fails is
+    a write cut short: it is reported on standard output ("dropping the
+    torn last row (line N); it is [again]"), cut from the file and left
+    out, so its work is done again.  Any other failing row raises
+    {!Err.Error} [malformed], located at [path:LINE:1].  A whole last
+    row that lost only its newline gets it back, so appended rows start
+    on a line of their own. *)
+val resume_rows :
+  again:string -> malformed:string -> parse:(string -> 'a option) -> string ->
+  'a list

@@ -191,66 +191,76 @@ let validation_row ~kernel key (p : point) (v : validation) =
       | Some f -> [ ("fill_divergence", Jsonl.Float f) ])
     @ [ ("flagged", Jsonl.Bool v.va_flagged) ])
 
-let eval_of_row line (p : point) =
-  let req name = function
-    | Some v -> v
-    | None ->
-      Err.raise_error "tune: resume state row is missing field %S: %s" name
-        line
-  in
-  let f name = req name (Jsonl.find_float line name) in
-  let i name = req name (Jsonl.find_int line name) in
-  {
-    ev_point = p;
-    ev_cu = i "cu";
-    ev_ports_per_cu = i "ports_per_cu";
-    ev_cost =
-      {
-        Cost.cycles = f "cycles";
-        mpts = f "mpts";
-        lut = i "lut";
-        ff = i "ff";
-        bram = i "bram";
-        uram = i "uram";
-        dsp = i "dsp";
-        watts = f "watts";
-      };
-    ev_frac = f "frac";
-    ev_feasible = req "feasible" (Jsonl.find_bool line "feasible");
-  }
+exception Missing_field
 
-let validation_of_row line =
-  let req name = function
-    | Some v -> v
-    | None ->
-      Err.raise_error "tune: resume state row is missing field %S: %s" name
-        line
+let field = function Some v -> v | None -> raise Missing_field
+
+(* A point row's evaluation, read now and applied later to the point
+   its key names.  Raises [Missing_field]. *)
+let eval_of_row line =
+  let f name = field (Jsonl.find_float line name) in
+  let i name = field (Jsonl.find_int line name) in
+  let cu = i "cu" and ports = i "ports_per_cu" and frac = f "frac" in
+  let feasible = field (Jsonl.find_bool line "feasible") in
+  let cost =
+    {
+      Cost.cycles = f "cycles";
+      mpts = f "mpts";
+      lut = i "lut";
+      ff = i "ff";
+      bram = i "bram";
+      uram = i "uram";
+      dsp = i "dsp";
+      watts = f "watts";
+    }
   in
-  let f name = req name (Jsonl.find_float line name) in
+  fun p ->
+    {
+      ev_point = p;
+      ev_cu = cu;
+      ev_ports_per_cu = ports;
+      ev_cost = cost;
+      ev_frac = frac;
+      ev_feasible = feasible;
+    }
+
+(* Raises [Missing_field]. *)
+let validation_of_row line =
+  let f name = field (Jsonl.find_float line name) in
   {
     va_max_diff = f "max_diff";
     va_model_cycles = f "model_cycles";
-    va_measured_cycles = req "measured_cycles" (Jsonl.find_int line "measured_cycles");
+    va_measured_cycles = field (Jsonl.find_int line "measured_cycles");
     va_divergence = f "divergence";
     (* rows predating the event engine carry no engine tag; they were
        measured by the tick loop, then the only engine *)
     va_engine = Option.value (Jsonl.find_string line "engine") ~default:"tick";
     va_fill_divergence = Jsonl.find_float line "fill_divergence";
-    va_flagged = req "flagged" (Jsonl.find_bool line "flagged");
+    va_flagged = field (Jsonl.find_bool line "flagged");
   }
 
-(* Load the resume state: key -> raw point row, key -> validation. *)
+(* Load the resume state: key -> point row's evaluation, key ->
+   validation.  A torn last row is dropped and its work redone. *)
 let load_state path =
   let points = Hashtbl.create 64 in
   let validations = Hashtbl.create 16 in
-  List.iter
-    (fun line ->
+  let parse line =
+    try
       match (Jsonl.find_string line "type", Jsonl.find_string line "key") with
-      | Some "point", Some key -> Hashtbl.replace points key line
+      | Some "point", Some key -> Some (`Point (key, eval_of_row line))
       | Some "validation", Some key ->
-        Hashtbl.replace validations key (validation_of_row line)
-      | _ -> Err.raise_error "tune: unrecognised resume state row: %s" line)
-    (Jsonl.lines_of_file path);
+        Some (`Validation (key, validation_of_row line))
+      | _ -> None
+    with Missing_field -> None
+  in
+  List.iter
+    (function
+      | `Point (key, e) -> Hashtbl.replace points key e
+      | `Validation (key, v) -> Hashtbl.replace validations key v)
+    (Jsonl.resume_rows ~again:"redone"
+       ~malformed:
+         "malformed tune state row (not a whole point or validation row)"
+       ~parse path);
   (points, validations)
 
 (* ------------------------------------------------------------------ *)
@@ -319,9 +329,9 @@ let run ?(models = Shmls.Cost_model.stack) ?(budget = U280.budget)
   in
   let evaluate_point key (p : point) =
     match Hashtbl.find_opt known_points key with
-    | Some line ->
+    | Some eval ->
       incr resumed;
-      eval_of_row line p
+      eval p
     | None ->
       let c = compile_point p in
       Hashtbl.replace compiled_designs key c;
