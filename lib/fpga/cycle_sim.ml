@@ -398,6 +398,24 @@ type cnt_kind =
   | K_dec (* load remaining: full bursts only while >= 8 *)
   | K_phase of int * int (* per_pass, passes: retirement stream select *)
 
+let[@inline] imin (a : int) b = if a <= b then a else b
+
+(* Loops, not [Array.for_all]: its local recursive closure would
+   allocate on every simulated cycle. *)
+let all_nonempty (fs : fifo array) =
+  let ok = ref true in
+  for i = 0 to Array.length fs - 1 do
+    if fs.(i).occ <= 0 then ok := false
+  done;
+  !ok
+
+let all_have_space (fs : fifo array) =
+  let ok = ref true in
+  for i = 0 to Array.length fs - 1 do
+    if fs.(i).occ >= fs.(i).cap then ok := false
+  done;
+  !ok
+
 let run_event ?on_cycle (d : Design.t) =
   check_has_write d;
   let total = Design.total_padded d in
@@ -485,13 +503,21 @@ let run_event ?on_cycle (d : Design.t) =
       d.d_stages
     |> Array.of_list
   in
+  (* The per-cycle helpers below are closure-free index loops: they run
+     once per simulated cycle, and a closure over a stage record would
+     allocate on every call. *)
   let complete () =
-    Array.for_all
-      (fun (_, st) ->
-        match st with
-        | E_write w -> Array.for_all (fun r -> r >= w.w_total) w.w_retired
-        | _ -> true)
-      estages
+    let ok = ref true and k = ref 0 in
+    while !ok && !k < Array.length estages do
+      (match snd estages.(!k) with
+      | E_write w ->
+        for j = 0 to Array.length w.w_retired - 1 do
+          if w.w_retired.(j) < w.w_total then ok := false
+        done
+      | _ -> ());
+      incr k
+    done;
+    !ok
   in
   (* counter layout (stage order), mirrored by read/apply below *)
   let kinds =
@@ -512,7 +538,10 @@ let run_event ?on_cycle (d : Design.t) =
     for k = 0 to Array.length estages - 1 do
       match snd estages.(k) with
       | E_load l ->
-        Array.iter (fun v -> dst.(!i) <- v; incr i) l.remaining
+        for j = 0 to Array.length l.remaining - 1 do
+          dst.(!i) <- l.remaining.(j);
+          incr i
+        done
       | E_shift s ->
         dst.(!i) <- s.consumed;
         dst.(!i + 1) <- s.produced;
@@ -525,7 +554,10 @@ let run_event ?on_cycle (d : Design.t) =
         dst.(!i + 1) <- c.retired;
         i := !i + 2
       | E_write w ->
-        Array.iter (fun v -> dst.(!i) <- v; incr i) w.w_retired
+        for j = 0 to Array.length w.w_retired - 1 do
+          dst.(!i) <- w.w_retired.(j);
+          incr i
+        done
     done
   in
   (* affine layout: every FIFO occupancy (stream order), then each
@@ -593,108 +625,111 @@ let run_event ?on_cycle (d : Design.t) =
   in
   (* one mutating cycle, bit-equal to the Tick loop body *)
   let fire () =
-    Array.iter
-      (fun (_, st) ->
-        match st with
-        | E_load l ->
-          Array.iteri
-            (fun i f ->
-              let burst = min 8 (min l.remaining.(i) (f.cap - f.occ)) in
-              if burst > 0 then begin
-                f.occ <- f.occ + burst;
-                l.remaining.(i) <- l.remaining.(i) - burst;
-                progressed := true;
-                mutated := true
-              end)
-            l.outs
-        | E_shift s ->
-          if
-            s.consumed < s.total && s.s_fin.occ > 0
-            && s.consumed - s.produced < s.window
-          then begin
-            s.s_fin.occ <- s.s_fin.occ - 1;
-            s.consumed <- s.consumed + 1;
-            progressed := true;
-            mutated := true
-          end;
-          if
-            s.produced < s.total
-            && (s.consumed >= s.produced + s.lookahead + 1
-               || s.consumed = s.total)
-            && s.s_fout.occ < s.s_fout.cap
-          then begin
-            s.s_fout.occ <- s.s_fout.occ + 1;
-            s.produced <- s.produced + 1;
+    let now = !cycle in
+    for k = 0 to Array.length estages - 1 do
+      match snd estages.(k) with
+      | E_load l ->
+        for i = 0 to Array.length l.outs - 1 do
+          let f = l.outs.(i) in
+          let burst = imin 8 (imin l.remaining.(i) (f.cap - f.occ)) in
+          if burst > 0 then begin
+            f.occ <- f.occ + burst;
+            l.remaining.(i) <- l.remaining.(i) - burst;
             progressed := true;
             mutated := true
           end
-        | E_dup du ->
-          if
-            du.moved < du.total && du.d_fin.occ > 0
-            && Array.for_all (fun f -> f.occ < f.cap) du.d_fouts
-          then begin
-            du.d_fin.occ <- du.d_fin.occ - 1;
-            Array.iter (fun f -> f.occ <- f.occ + 1) du.d_fouts;
-            du.moved <- du.moved + 1;
-            progressed := true;
-            mutated := true
-          end
-        | E_compute c ->
-          if
-            c.started < c.total
-            && !cycle - c.last_start >= c.ii
-            && Array.for_all (fun f -> f.occ > 0) c.c_fins
-          then begin
-            Array.iter (fun f -> f.occ <- f.occ - 1) c.c_fins;
-            c.started <- c.started + 1;
-            c.last_start <- !cycle;
-            if c.q_len = Array.length c.q_buf then begin
-              let n = Array.length c.q_buf in
-              let buf = Array.make (2 * n) 0 in
-              for j = 0 to n - 1 do
-                buf.(j) <- c.q_buf.((c.q_head + j) land c.q_mask)
-              done;
-              c.q_buf <- buf;
-              c.q_mask <- (2 * n) - 1;
-              c.q_head <- 0
-            end;
-            c.q_buf.((c.q_head + c.q_len) land c.q_mask) <- !cycle + c.latency;
-            c.q_len <- c.q_len + 1;
-            progressed := true;
-            mutated := true
+        done
+      | E_shift s ->
+        if
+          s.consumed < s.total && s.s_fin.occ > 0
+          && s.consumed - s.produced < s.window
+        then begin
+          s.s_fin.occ <- s.s_fin.occ - 1;
+          s.consumed <- s.consumed + 1;
+          progressed := true;
+          mutated := true
+        end;
+        if
+          s.produced < s.total
+          && (s.consumed >= s.produced + s.lookahead + 1
+             || s.consumed = s.total)
+          && s.s_fout.occ < s.s_fout.cap
+        then begin
+          s.s_fout.occ <- s.s_fout.occ + 1;
+          s.produced <- s.produced + 1;
+          progressed := true;
+          mutated := true
+        end
+      | E_dup du ->
+        if du.moved < du.total && du.d_fin.occ > 0 && all_have_space du.d_fouts
+        then begin
+          du.d_fin.occ <- du.d_fin.occ - 1;
+          for i = 0 to Array.length du.d_fouts - 1 do
+            let f = du.d_fouts.(i) in
+            f.occ <- f.occ + 1
+          done;
+          du.moved <- du.moved + 1;
+          progressed := true;
+          mutated := true
+        end
+      | E_compute c ->
+        if
+          c.started < c.total
+          && now - c.last_start >= c.ii
+          && all_nonempty c.c_fins
+        then begin
+          for i = 0 to Array.length c.c_fins - 1 do
+            let f = c.c_fins.(i) in
+            f.occ <- f.occ - 1
+          done;
+          c.started <- c.started + 1;
+          c.last_start <- now;
+          if c.q_len = Array.length c.q_buf then begin
+            let n = Array.length c.q_buf in
+            let buf = Array.make (2 * n) 0 in
+            for j = 0 to n - 1 do
+              buf.(j) <- c.q_buf.((c.q_head + j) land c.q_mask)
+            done;
+            c.q_buf <- buf;
+            c.q_mask <- (2 * n) - 1;
+            c.q_head <- 0
           end;
-          if c.q_len > 0 then begin
-            let ready = c.q_buf.(c.q_head) in
-            if ready <= !cycle then begin
-              let phase = min (c.retired / c.per_pass) (c.passes - 1) in
-              let fout = c.c_fouts.(phase) in
-              if fout.occ < fout.cap then begin
-                fout.occ <- fout.occ + 1;
-                c.retired <- c.retired + 1;
-                c.q_head <- (c.q_head + 1) land c.q_mask;
-                c.q_len <- c.q_len - 1;
-                progressed := true;
-                mutated := true
-              end
+          c.q_buf.((c.q_head + c.q_len) land c.q_mask) <- now + c.latency;
+          c.q_len <- c.q_len + 1;
+          progressed := true;
+          mutated := true
+        end;
+        if c.q_len > 0 then begin
+          let ready = c.q_buf.(c.q_head) in
+          if ready <= now then begin
+            let phase = imin (c.retired / c.per_pass) (c.passes - 1) in
+            let fout = c.c_fouts.(phase) in
+            if fout.occ < fout.cap then begin
+              fout.occ <- fout.occ + 1;
+              c.retired <- c.retired + 1;
+              c.q_head <- (c.q_head + 1) land c.q_mask;
+              c.q_len <- c.q_len - 1;
+              progressed := true;
+              mutated := true
             end
-            else progressed := true
-          end;
-          c.start_bits <-
-            ((c.start_bits lsl 1)
-            lor (if c.last_start = !cycle then 1 else 0))
-            land c.bits_mask
-        | E_write w ->
-          Array.iteri
-            (fun i f ->
-              if w.w_retired.(i) < w.w_total && f.occ > 0 then begin
-                f.occ <- f.occ - 1;
-                w.w_retired.(i) <- w.w_retired.(i) + 1;
-                progressed := true;
-                mutated := true
-              end)
-            w.w_fins
-      )
-      estages
+          end
+          else progressed := true
+        end;
+        c.start_bits <-
+          ((c.start_bits lsl 1)
+          lor (if c.last_start = now then 1 else 0))
+          land c.bits_mask
+      | E_write w ->
+        for i = 0 to Array.length w.w_fins - 1 do
+          let f = w.w_fins.(i) in
+          if w.w_retired.(i) < w.w_total && f.occ > 0 then begin
+            f.occ <- f.occ - 1;
+            w.w_retired.(i) <- w.w_retired.(i) + 1;
+            progressed := true;
+            mutated := true
+          end
+        done
+    done
   in
   (* signature of the exact part of the state, written into a reused
      scratch buffer with a full accumulated hash — no allocation per
@@ -939,24 +974,23 @@ let run_event ?on_cycle (d : Design.t) =
      the earliest in-flight ready or II-distance expiry *)
   let idle_jump c =
     let e = ref max_int in
-    Array.iter
-      (fun (_, st) ->
-        match st with
-        | E_compute cc ->
-          if cc.q_len > 0 then begin
-            let r = cc.q_buf.(cc.q_head) in
-            if r > c && r < !e then e := r
-          end;
-          if
-            cc.started < cc.total
-            && cc.last_start + cc.ii > c
-            && Array.for_all (fun f -> f.occ > 0) cc.c_fins
-          then begin
-            let t = cc.last_start + cc.ii in
-            if t < !e then e := t
-          end
-        | _ -> ())
-      estages;
+    for k = 0 to Array.length estages - 1 do
+      match snd estages.(k) with
+      | E_compute cc ->
+        if cc.q_len > 0 then begin
+          let r = cc.q_buf.(cc.q_head) in
+          if r > c && r < !e then e := r
+        end;
+        if
+          cc.started < cc.total
+          && cc.last_start + cc.ii > c
+          && all_nonempty cc.c_fins
+        then begin
+          let t = cc.last_start + cc.ii in
+          if t < !e then e := t
+        end
+      | _ -> ()
+    done;
     if !e < max_int then begin
       let target = min !e budget in
       if target > !cycle then begin

@@ -31,7 +31,11 @@ let extent t = Ty.bounds_extent t.bounds
 let size t = Ty.bounds_points t.bounds
 let rank t = Array.length t.lb
 
+let created = Atomic.make 0
+let create_count () = Atomic.get created
+
 let create bounds =
+  Atomic.incr created;
   let lb, ub, strides = geometry bounds in
   { bounds; data = Array.make (Ty.bounds_points bounds) 0.0; lb; ub; strides }
 
@@ -68,14 +72,15 @@ let unsafe_linear t (pos : int array) =
   done;
   !lin
 
+(* Closure-free: the interpreter's checked accesses call this per lane. *)
 let check_index_arr t (pos : int array) =
   if Array.length pos <> Array.length t.lb then
     Err.raise_error "Grid: index rank mismatch";
-  Array.iteri
-    (fun d i ->
-      if i < t.lb.(d) || i >= t.ub.(d) then
-        Err.raise_error "Grid: index %d outside [%d,%d)" i t.lb.(d) t.ub.(d))
-    pos
+  for d = 0 to Array.length pos - 1 do
+    let i = pos.(d) in
+    if i < t.lb.(d) || i >= t.ub.(d) then
+      Err.raise_error "Grid: index %d outside [%d,%d)" i t.lb.(d) t.ub.(d)
+  done
 
 (* Whether every point of [bounds] lies inside [t]: checking the two
    corners of the (rectangular) region subsumes the per-point checks, so

@@ -16,6 +16,12 @@ type t = {
 val geometry : Ty.bounds -> int array * int array * int array
 
 val create : Ty.bounds -> t
+
+(** Process-wide count of {!create} calls — lets perf tests bound how
+    many grids a run allocates (the interpreter recycles dead apply
+    results). *)
+val create_count : unit -> int
+
 val copy : t -> t
 val extent : t -> int list
 val size : t -> int

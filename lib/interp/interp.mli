@@ -2,10 +2,11 @@
     FPGA functional simulator and the baseline flows are checked
     against.
 
-    Gather semantics: each stencil.apply computes into fresh grids
-    before stencil.store copies the written region into the destination,
-    so in-place (Inout) kernels behave like their PSyclone originals.
-    Requires shape-inferred modules (every temp carries bounds). *)
+    Gather semantics: each stencil.apply computes into its own result
+    grids before stencil.store copies the written region into the
+    destination, so in-place (Inout) kernels behave like their PSyclone
+    originals.  Requires shape-inferred modules (every temp carries
+    bounds). *)
 
 open Shmls_ir
 
@@ -13,7 +14,9 @@ type rval = F of float | I of int | B of bool | G of Grid.t
 
 type env
 
-(** Execute one stencil-dialect function; grids are mutated in place. *)
+(** Execute one stencil-dialect function; grids are mutated in place.
+    Apply results are recycled within the call once their last reader
+    has run. *)
 val run_func : Ir.op -> args:rval list -> env
 
 (** Execute a CPU-lowered function (scf/memref/arith, no stencil ops).

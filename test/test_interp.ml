@@ -159,7 +159,46 @@ let test_interp_out_of_range () =
   Alcotest.check_raises "store"
     (Shmls_support.Err.Error
        (Shmls_support.Err.make "Grid: index 0 outside [1,9)"))
-    (fun () -> run ~a:None ~b:(grid 1 9))
+    (fun () -> run ~a:None ~b:(grid 1 9));
+  (* An apply runs its body op by op over whole rows, yet the error is
+     the one per-point execution raises first: the lowest failing point,
+     then the earliest op there. *)
+  let raises_on ~short_coef (expr : Shmls_frontend.Ast.expr) msg =
+    let open Shmls_frontend.Ast in
+    let k =
+      {
+        k_loc = Shmls_support.Loc.unknown;
+        k_name = "checked_1d";
+        k_rank = 1;
+        k_fields = [ { fd_name = "a"; fd_role = Input }; { fd_name = "b"; fd_role = Output } ];
+        k_smalls = [ { sd_name = "coef"; sd_axis = 0 } ];
+        k_params = [];
+        k_stencils = [ def "b" expr ];
+      }
+    in
+    let l = prepared k [ 8 ] in
+    let st = Interp.alloc_state l in
+    let coef = if short_coef then Option.get (grid 0 4) else List.assoc "coef" st.smalls in
+    let args =
+      List.map (fun g -> Interp.G g) [ Option.get (grid 0 9); List.assoc "b" st.fields; coef ]
+    in
+    Alcotest.check_raises msg
+      (Shmls_support.Err.Error (Shmls_support.Err.make msg))
+      (fun () -> ignore (Interp.run_func l.l_func ~args))
+  in
+  let open Shmls_frontend.Ast in
+  (* a[x+3] first fails at x = 6, the later a[x-2] already at x = 0 *)
+  raises_on ~short_coef:false
+    (fld "a" [ 3 ] +: fld "a" [ -2 ] +: small "coef")
+    "Grid: index -2 outside [0,9)";
+  (* both fail first at x = 0: the earlier op's error *)
+  raises_on ~short_coef:false
+    (fld "a" [ -1 ] +: fld "a" [ -2 ] +: small "coef")
+    "Grid: index -1 outside [0,9)";
+  (* a[x+3] fails at x = 6, the later coef[x+1] (a dyn_access) at x = 3 *)
+  raises_on ~short_coef:true
+    (fld "a" [ 3 ] +: small ~offset:1 "coef")
+    "Grid: index 4 outside [0,4)"
 
 (* -- pinned reference outputs -------------------------------------------- *)
 

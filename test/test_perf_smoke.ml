@@ -239,6 +239,120 @@ let test_streaming_ring_bound () =
       whole
 
 (* ------------------------------------------------------------------ *)
+(* Reference interpreter: recycled apply temporaries *)
+
+(* Per top-level apply result of a lowered function: its type (which
+   carries its bounds), the index of the op defining it and the index
+   of the last top-level op that reads it. *)
+let apply_lifetimes (func : Ir.op) =
+  let ops = Ir.Block.ops (Ir.Region.entry (List.hd (Ir.Op.regions func))) in
+  let last = Hashtbl.create 64 in
+  List.iteri
+    (fun t op ->
+      Ir.Op.walk op (fun o ->
+          List.iter (fun v -> Hashtbl.replace last (Ir.Value.id v) t) (Ir.Op.operands o)))
+    ops;
+  List.concat
+    (List.mapi
+       (fun t op ->
+         if Ir.Op.name op <> Shmls_dialects.Stencil.apply_op then []
+         else
+           List.map
+             (fun r ->
+               let l = Option.value ~default:t (Hashtbl.find_opt last (Ir.Value.id r)) in
+               (Ir.Value.ty r, t, l))
+             (Ir.Op.results op))
+       ops)
+
+(* The fewest grids that hold every apply result when a grid is reused
+   only for equal bounds: per bounds class, the most results of that
+   class alive at one op, summed over the classes. *)
+let equal_bounds_floor lifetimes =
+  let classes = List.sort_uniq compare (List.map (fun (ty, _, _) -> ty) lifetimes) in
+  let ops = List.fold_left (fun acc (_, _, l) -> max acc (l + 1)) 0 lifetimes in
+  List.fold_left
+    (fun acc ty ->
+      let live t =
+        List.length
+          (List.filter (fun (ty', d, l) -> ty' = ty && d <= t && t <= l) lifetimes)
+      in
+      acc + List.fold_left max 0 (List.init ops live))
+    0 classes
+
+(* Grid.create calls made by one reference run of [c] on fresh inputs. *)
+let reference_grids (c : Shmls.compiled) =
+  let st = Shmls.Interp.alloc_state ~seed:1 c.c_lowered in
+  let before = Shmls.Grid.create_count () in
+  ignore (Shmls.Interp.run_func c.c_lowered.l_func ~args:(Shmls.Interp.state_args st));
+  Shmls.Grid.create_count () - before
+
+(* Tracer's reference allocates no more apply-result grids than the
+   equal-bounds floor (14 for its 24 results at 16x12x10), and the
+   golden reference digests (golden/reference.sum, tracer at 8x6x5) are
+   computed through recycled grids, so a stale one would move them. *)
+let test_reference_recycles () =
+  List.iter
+    (fun grid ->
+      let c = Shmls.compile TA.kernel ~grid in
+      let lifetimes = apply_lifetimes c.c_lowered.l_func in
+      let made = reference_grids c and floor = equal_bounds_floor lifetimes in
+      let what = String.concat "x" (List.map string_of_int grid) in
+      if made > floor then
+        Alcotest.failf "tracer %s: %d apply grids allocated, equal-bounds floor %d" what
+          made floor;
+      if made >= List.length lifetimes then
+        Alcotest.failf "tracer %s: %d apply grids for %d results: nothing recycled" what
+          made (List.length lifetimes))
+    [ [ 16; 12; 10 ]; [ 8; 6; 5 ] ];
+  let pinned =
+    In_channel.with_open_text "golden/reference.sum" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.exists (String.starts_with ~prefix:"tracer_advection 8x6x5 ")
+  in
+  Alcotest.(check bool) "tracer 8x6x5 digests pinned" true pinned
+
+(* An in-place kernel whose result runs through a chain of four
+   equal-bounds applies: the third and fourth write into the grids of
+   the first and second once those are dead.  Closed form per point:
+   a' = (2a + 1)^2 - (2a + 1). *)
+let test_recycled_chain_inout () =
+  let open Shmls_frontend.Ast in
+  let k =
+    {
+      k_loc = Shmls_support.Loc.unknown;
+      k_name = "recycled_chain";
+      k_rank = 2;
+      k_fields = [ { fd_name = "a"; fd_role = Inout } ];
+      k_smalls = [];
+      k_params = [];
+      k_stencils =
+        [
+          def "t1" (const 2.0 *: fld "a" [ 0; 0 ]);
+          def "t2" (fld "t1" [ 0; 0 ] +: const 1.0);
+          def "t3" (fld "t2" [ 0; 0 ] *: fld "t2" [ 0; 0 ]);
+          def "a" (fld "t3" [ 0; 0 ] -: fld "t2" [ 0; 0 ]);
+        ];
+    }
+  in
+  let grid = [ 6; 37 ] in
+  let c = Shmls.compile k ~grid in
+  let made = reference_grids c in
+  if made >= List.length (apply_lifetimes c.c_lowered.l_func) then
+    Alcotest.failf "chain: %d apply grids allocated, nothing recycled" made;
+  let st = Shmls.Interp.alloc_state ~seed:3 c.c_lowered in
+  let a = List.assoc "a" st.fields in
+  let before = Shmls.Grid.copy a in
+  ignore (Shmls.Interp.run_func c.c_lowered.l_func ~args:(Shmls.Interp.state_args st));
+  for i = 0 to 5 do
+    for j = 0 to 36 do
+      let t2 = (2.0 *. Shmls.Grid.get before [ i; j ]) +. 1.0 in
+      Alcotest.(check (float 0.0)) "chain value" ((t2 *. t2) -. t2) (Shmls.Grid.get a [ i; j ])
+    done
+  done;
+  let v = Shmls.verify ~sim:Shmls.Batched c in
+  Alcotest.(check (float 0.0)) "batched engine agrees" 0.0 v.v_max_diff
+
+(* ------------------------------------------------------------------ *)
 (* Pass-result memo *)
 
 let test_pass_memo () =
@@ -298,6 +412,13 @@ let () =
         [
           Alcotest.test_case "ring capacity bound at 64x64x32" `Quick
             test_streaming_ring_bound;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "apply grids recycled by bounds" `Quick
+            test_reference_recycles;
+          Alcotest.test_case "in-place chain through recycled grids" `Quick
+            test_recycled_chain_inout;
         ] );
       ( "pass manager",
         [
